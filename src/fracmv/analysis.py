@@ -10,17 +10,16 @@ in the increment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fraclap import ScalarField
-from .kernel import (RadialKernelTable, _angular_grid, _conv_breaks,
-                     _kink_crossings, _rule_on_breaks, _surface, _unit_gauss)
+from .kernel import RadialKernelTable, gradient_of_solution
+from .quadrature import angular_rule, unit_gauss
 
 __all__ = [
     "Domain",
-    "RegularityParams",
     "BallFamily",
     "ReportRow",
     "rows_to_csv",
@@ -40,9 +39,8 @@ CSV_HEADER = "field_id,x,r,lambda,p,value,kind"
 class Domain:
     """Bounded domain with a closed-form boundary distance.
 
-    ``geometry`` holds kind-specific parameters as nested tuples:
-    interval (lo, hi); ball (center..., radius); box (lo tuple, hi tuple);
-    polygon (vertex tuples, counterclockwise).
+    ``kind`` is "interval", with ``geometry`` (lo, hi), or "ball", with
+    ``geometry`` (center tuple, radius).
     """
 
     kind: str
@@ -62,95 +60,21 @@ class Domain:
             raise ValueError("radius must be positive")
         return cls("ball", len(center), (center, float(radius)))
 
-    @classmethod
-    def box(cls, lo, hi) -> "Domain":
-        lo = tuple(float(c) for c in np.atleast_1d(lo))
-        hi = tuple(float(c) for c in np.atleast_1d(hi))
-        if len(lo) != len(hi) or any(b <= a for a, b in zip(lo, hi)):
-            raise ValueError("box needs componentwise lo < hi")
-        return cls("box", len(lo), (lo, hi))
-
-    @classmethod
-    def polygon(cls, vertices) -> "Domain":
-        verts = tuple(tuple(float(c) for c in v) for v in vertices)
-        if len(verts) < 3 or any(len(v) != 2 for v in verts):
-            raise ValueError("polygon needs at least 3 planar vertices")
-        return cls("polygon", 2, verts)
-
     def distance_to_boundary(self, x) -> float:
         """delta(x): distance to the boundary for interior x, 0 outside."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.kind == "interval":
             lo, hi = self.geometry
             return max(0.0, min(x[0] - lo, hi - x[0]))
-        if self.kind == "ball":
-            center, radius = self.geometry
-            return max(0.0, radius - float(np.linalg.norm(x - center)))
-        if self.kind == "box":
-            lo, hi = self.geometry
-            d = min(min(x - lo), min(np.asarray(hi) - x))
-            return max(0.0, float(d))
-        return self._polygon_distance(x)
-
-    def _polygon_distance(self, x) -> float:
-        verts = np.asarray(self.geometry)
-        m = len(verts)
-        # ray casting for interiority
-        inside = False
-        for i in range(m):
-            p, q = verts[i], verts[(i + 1) % m]
-            if (p[1] > x[1]) != (q[1] > x[1]):
-                xc = p[0] + (x[1] - p[1]) * (q[0] - p[0]) / (q[1] - p[1])
-                if x[0] < xc:
-                    inside = not inside
-        if not inside:
-            return 0.0
-        dmin = math.inf
-        for i in range(m):
-            p, q = verts[i], verts[(i + 1) % m]
-            e = q - p
-            t = float(np.clip(np.dot(x - p, e) / np.dot(e, e), 0.0, 1.0))
-            dmin = min(dmin, float(np.linalg.norm(x - (p + t * e))))
-        return dmin
+        center, radius = self.geometry
+        return max(0.0, radius - float(np.linalg.norm(x - center)))
 
     @property
     def diameter(self) -> float:
         if self.kind == "interval":
             lo, hi = self.geometry
             return hi - lo
-        if self.kind == "ball":
-            return 2.0 * self.geometry[1]
-        if self.kind == "box":
-            lo, hi = self.geometry
-            return float(np.linalg.norm(np.asarray(hi) - np.asarray(lo)))
-        verts = np.asarray(self.geometry)
-        diff = verts[:, None, :] - verts[None, :, :]
-        return float(np.sqrt((diff ** 2).sum(axis=-1)).max())
-
-    @property
-    def extension_height(self) -> float:
-        """Half-height of the extension cylinder; equals the diameter."""
-        return self.diameter
-
-
-@dataclass(frozen=True)
-class RegularityParams:
-    """Smoothness/integrability parameters with the derived scale tau."""
-
-    lam: float
-    p: float
-    alpha: float
-    n: int
-
-    def __post_init__(self):
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError(f"lambda must lie in (0, 1), got {self.lam}")
-        if not self.p > 1.0:
-            raise ValueError(f"p must exceed 1, got {self.p}")
-
-    @property
-    def tau(self) -> float:
-        return 1.0 / (1.0 / self.p + self.alpha / self.n)
+        return 2.0 * self.geometry[1]
 
 
 @dataclass(frozen=True)
@@ -192,20 +116,38 @@ class BallFamily:
         return np.asarray(out)
 
 
+def _midpoint_grid(lo: float, width: float, count: int, n: int):
+    """Cell midpoints of the cube [lo, lo + width]^n, ``count`` cells per axis.
+
+    Returns the points, shape (count^n, n), in meshgrid order, and the cell
+    measure.
+    """
+    step = width / count
+    u = lo + (np.arange(count) + 0.5) * step
+    if n == 1:
+        return u[:, None], step
+    gx, gy = np.meshgrid(u, u)
+    return np.column_stack([gx.ravel(), gy.ravel()]), step ** n
+
+
+def _disc_points(center, radius: float, m: int):
+    """Midpoints of an m x m grid on the disc's bounding square that lie in it.
+
+    Returns the points and the cell measure.  No midpoint lies on the circle:
+    the midpoints are radius * k / m with k = 2i + 1 - m, and k^2 + l^2 and
+    m^2 differ mod 4.
+    """
+    pts, cell = _midpoint_grid(-radius, 2.0 * radius, m, 2)
+    return pts[(pts ** 2).sum(axis=1) < radius * radius] + center, cell
+
+
 def _ball_points(center, radius: float, resolution: int) -> np.ndarray:
     """Midpoint sample points of the ball, shape (m, n)."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    n = center.size
-    if n == 1:
-        t = center[0] - radius + (np.arange(resolution) + 0.5) \
-            * (2.0 * radius / resolution)
-        return t[:, None]
-    m = max(4, int(round(math.sqrt(resolution) * 2)))
-    u = -radius + (np.arange(m) + 0.5) * (2.0 * radius / m)
-    gx, gy = np.meshgrid(u, u)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    pts = pts[(pts ** 2).sum(axis=1) <= radius * radius]
-    return pts + center
+    if center.size == 1:
+        return _midpoint_grid(center[0] - radius, 2.0 * radius, resolution, 1)[0]
+    return _disc_points(center, radius,
+                        max(4, int(round(math.sqrt(resolution) * 2))))[0]
 
 
 def _ball_measure(n: int, radius: float) -> float:
@@ -241,50 +183,6 @@ def hl_maximal(f: ScalarField, x, family: BallFamily) -> float:
             pts = _ball_points(c, radius, family.resolution)
             best = max(best, float(np.mean(np.abs(f(pts)))))
     return best
-
-
-def gradient_of_solution(table: RadialKernelTable, f: ScalarField, x,
-                         r: float, tol: float = 1e-5,
-                         angular: int = 64) -> np.ndarray:
-    """Gradient of an s-harmonic f from the kernel-derivative representation.
-
-    Components are (1/r) * integral of (f(z) - f(x)) Psi^i_r(x - z) dz,
-    written in the scaled variable w = (x - z)/r.  The mean-zero form keeps
-    the integrand small away from x, and the tail beyond the table range is
-    continued with the gradient decay exponent n + 2 - a.
-    """
-    n, a = table.params.n, table.params.a
-    x = np.asarray(x, dtype=float).reshape(-1)
-    fx = float(f(x[None, :])[0])
-    surf = _surface(n)
-    rmax = table.rmax
-    tail_exp = n + 2.0 - a
-    coef = abs(table.psi_radial_of(rmax)) * rmax ** tail_exp
-
-    p1 = n - tail_exp  # = a - 2 < 0 for every admissible a
-    deg = f.degree if f.growth == "polynomial" else 0
-    W = 4.0 * rmax
-    while True:
-        bound = surf * coef * (f.envelope(float(np.linalg.norm(x)))
-                               + abs(fx)) * W ** p1 / -p1
-        if deg > 0:
-            bound += surf * coef * f.scale * r ** deg \
-                * W ** (p1 + deg) / -(p1 + deg)
-        if bound <= tol / 2.0 or W > 1e16:
-            break
-        W *= 4.0
-
-    breaks = _conv_breaks(r, W)
-    dirs, ang_w = _angular_grid(n, angular)
-    grad = np.zeros(n)
-    for d, wa in zip(dirs, ang_w):
-        nodes, weights = _rule_on_breaks(
-            breaks, _kink_crossings(x, r, d, f.kink_radii))
-        kern = table.psi_radial_of(nodes) * nodes ** (n - 1) * weights
-        pts = x[None, :] - r * nodes[:, None] * d[None, :]
-        vals = f(pts) - fx
-        grad += wa * float(kern @ vals) * d
-    return grad / r
 
 
 @dataclass(frozen=True)
@@ -372,17 +270,9 @@ def besov_seminorm(f: ScalarField, lam: float, p: float, window: float,
     if not p > 1.0:
         raise ValueError(f"p must exceed 1, got {p}")
     n = f.n
-    tg, wg = _unit_gauss(6)
-    dirs, ang_w = _angular_grid(n, 16)
-
-    # midpoint grid in x
-    u = -half_width + (np.arange(grid) + 0.5) * (2.0 * half_width / grid)
-    cell = (2.0 * half_width / grid) ** n
-    if n == 1:
-        xs = u[:, None]
-    else:
-        gx, gy = np.meshgrid(u, u)
-        xs = np.column_stack([gx.ravel(), gy.ravel()])
+    tg, wg = unit_gauss(6)
+    dirs, ang_w = angular_rule(n, 16)
+    xs, cell = _midpoint_grid(-half_width, 2.0 * half_width, grid, n)
     fvals = f(xs)
 
     shell_sums = []
@@ -410,13 +300,7 @@ def besov_seminorm(f: ScalarField, lam: float, p: float, window: float,
 
 
 def _lp_norm(f: ScalarField, p: float, half_width: float, grid: int) -> float:
-    u = -half_width + (np.arange(grid) + 0.5) * (2.0 * half_width / grid)
-    cell = (2.0 * half_width / grid) ** f.n
-    if f.n == 1:
-        xs = u[:, None]
-    else:
-        gx, gy = np.meshgrid(u, u)
-        xs = np.column_stack([gx.ravel(), gy.ravel()])
+    xs, cell = _midpoint_grid(-half_width, 2.0 * half_width, grid, f.n)
     return (float(np.sum(np.abs(f(xs)) ** p)) * cell) ** (1.0 / p)
 
 
@@ -434,19 +318,10 @@ def weighted_gradient_besov_ratio(table: RadialKernelTable, f: ScalarField,
     """
     if domain.kind == "interval":
         lo, hi = domain.geometry
-        u = lo + (np.arange(grid_count) + 0.5) * ((hi - lo) / grid_count)
-        pts = u[:, None]
-        cell = (hi - lo) / grid_count
-    elif domain.kind == "ball":
-        center, radius = domain.geometry
-        m = grid_count
-        u = -radius + (np.arange(m) + 0.5) * (2.0 * radius / m)
-        gx, gy = np.meshgrid(u, u)
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        pts = pts[(pts ** 2).sum(axis=1) < radius * radius] + np.asarray(center)
-        cell = (2.0 * radius / m) ** 2
+        pts, cell = _midpoint_grid(lo, hi - lo, grid_count, 1)
     else:
-        raise ValueError(f"unsupported domain kind {domain.kind!r}")
+        center, radius = domain.geometry
+        pts, cell = _disc_points(np.asarray(center), radius, grid_count)
 
     acc = 0.0
     for x in pts:

@@ -8,7 +8,6 @@ plus flags (flags win).  Exit codes: 0 pass, 1 tolerance failure,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -21,9 +20,9 @@ from .analysis import (Domain, gradient_sharp_ratio, rows_to_csv,
 from .errors import FracmvError, TableMismatchError, ToleranceError
 from .extension import ExtensionKernel, reflected_extension
 from .fraclap import FIELD_NAMES, Params, make_field
-from .kernel import (RadialKernelTable, build_table, extension_mean_value,
-                     phi_r_convolve, read_table, verify_kernel_properties,
-                     write_table)
+from .kernel import (DEFAULT_GRID, RadialKernelTable, build_table,
+                     extension_mean_value, phi_r_convolve, read_table,
+                     verify_kernel_properties, write_table)
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -58,13 +57,16 @@ class RunConfig:
     def params(self) -> Params:
         if (self.a is None) == (self.s is None):
             raise UsageError("exactly one of --a and --s must be given")
-        if self.s is not None:
-            if not 0.0 < self.s < 1.0:
-                raise UsageError(f"s must lie in (0, 1), got {self.s}")
-            return Params.from_s(self.n, self.s)
-        if not -1.0 < self.a < 1.0:
+        if self.s is not None and not 0.0 < self.s < 1.0:
+            raise UsageError(f"s must lie in (0, 1), got {self.s}")
+        if self.a is not None and not -1.0 < self.a < 1.0:
             raise UsageError(f"a must lie in (-1, 1), got {self.a}")
-        return Params.from_a(self.n, self.a)
+        try:
+            if self.s is not None:
+                return Params.from_s(self.n, self.s)
+            return Params.from_a(self.n, self.a)
+        except ValueError as exc:  # e.g. 2s + a = 1 fails to round exactly
+            raise UsageError(str(exc)) from exc
 
     def tol(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
@@ -87,30 +89,38 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
+def _apply_config_key(cfg: RunConfig, key: str, val: str):
+    if key == "n":
+        cfg.n = int(val)
+    elif key == "a":
+        cfg.a = float(val)
+    elif key == "s":
+        cfg.s = float(val)
+    elif key == "table":
+        cfg.table = val
+    elif key == "out":
+        cfg.out = val
+    elif key == "seed":
+        cfg.seed = int(val)
+    elif key == "fields":
+        cfg.fields = [f.strip() for f in val.split(",") if f.strip()]
+    elif key.startswith("tol."):
+        cfg.tolerances[key[4:]] = float(val)
+    elif key.startswith("grid.") and key[5:] in DEFAULT_GRID:
+        # each grid value keeps the type of its default
+        cfg.grid[key[5:]] = type(DEFAULT_GRID[key[5:]])(val)
+    else:
+        raise UsageError(f"unknown config key {key!r}")
+
+
 def _build_config(args) -> RunConfig:
     cfg = RunConfig()
     file_keys = _parse_config_file(args.config) if args.config else {}
     for key, val in file_keys.items():
-        if key == "n":
-            cfg.n = int(val)
-        elif key == "a":
-            cfg.a = float(val)
-        elif key == "s":
-            cfg.s = float(val)
-        elif key == "table":
-            cfg.table = val
-        elif key == "out":
-            cfg.out = val
-        elif key == "seed":
-            cfg.seed = int(val)
-        elif key == "fields":
-            cfg.fields = [f.strip() for f in val.split(",") if f.strip()]
-        elif key.startswith("tol."):
-            cfg.tolerances[key[4:]] = float(val)
-        elif key.startswith("grid."):
-            cfg.grid[key[5:]] = float(val) if "." in val else int(val)
-        else:
-            raise UsageError(f"unknown config key {key!r}")
+        try:
+            _apply_config_key(cfg, key, val)
+        except ValueError as exc:
+            raise UsageError(f"config key {key!r}: {exc}") from exc
     if args.n is not None:
         cfg.n = args.n
     if args.a is not None:

@@ -15,13 +15,9 @@ import numpy as np
 
 from .errors import FieldRejectedError, NormalizationError, ToleranceError
 from .fraclap import ScalarField
-from .quadrature import gauss_legendre
+from .quadrature import angular_rule, gauss_legendre, sphere_area
 
 __all__ = ["ExtensionKernel", "poisson_constant", "extend", "reflected_extension"]
-
-
-def _surface(n: int) -> float:
-    return 2.0 if n == 1 else 2.0 * math.pi
 
 
 def _profile_mass(n: int, a: float, per_panel: int) -> float:
@@ -38,7 +34,7 @@ def _profile_mass(n: int, a: float, per_panel: int) -> float:
         lo, hi = hi, min(hi * 2.0, R)
     # exact power-law tail: rho^{a-2} (1 - m rho^{-2} + ...)
     total += R ** (a - 1.0) / (1.0 - a) - m * R ** (a - 3.0) / (3.0 - a)
-    return _surface(n) * total
+    return sphere_area(n) * total
 
 
 @lru_cache(maxsize=64)
@@ -126,7 +122,7 @@ def extend(k: ExtensionKernel, f: ScalarField, x, y: float, tol: float = 1e-8):
         vals = f(pts)
         return float(vals[0]) if single else vals
     h = abs(y)
-    surf = _surface(n)
+    surf = sphere_area(n)
 
     # choose truncation radius from the envelope of |f(x + h w) - f(x)|
     rmax = float(np.max(np.linalg.norm(pts, axis=1)))
@@ -144,14 +140,7 @@ def extend(k: ExtensionKernel, f: ScalarField, x, y: float, tol: float = 1e-8):
 
     t, wt = _radial_rule(W)
     kern = k.C * (1.0 + t * t) ** (-0.5 * (n + 1.0 - a))
-    if n == 1:
-        dirs = np.array([[1.0], [-1.0]])
-        ang_w = np.array([1.0, 1.0])
-    else:
-        nang = 48
-        theta = np.linspace(0.0, 2.0 * math.pi, nang, endpoint=False)
-        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-        ang_w = np.full(nang, 2.0 * math.pi / nang)
+    dirs, ang_w = angular_rule(n, 48)
 
     fx = f(pts)
     out = fx.copy()

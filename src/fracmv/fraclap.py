@@ -19,7 +19,7 @@ from scipy.special import roots_jacobi
 
 from .bump import eta_raw
 from .errors import FieldRejectedError, ToleranceError
-from .quadrature import gauss_legendre
+from .quadrature import angular_rule, gauss_legendre, sphere_area
 
 __all__ = [
     "Params",
@@ -31,11 +31,6 @@ __all__ = [
     "make_field",
     "FIELD_NAMES",
 ]
-
-
-def _surface(n: int) -> float:
-    # |S^{n-1}|
-    return 2.0 if n == 1 else 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -109,18 +104,12 @@ def growth_class_check(f: ScalarField, s: float, n: int):
     |x| <= 1e4 by radial quadrature; the tail beyond is bounded using the
     declared growth envelope and is finite iff degree < 2s.
     """
-    surf = _surface(n)
+    surf = sphere_area(n)
     breaks = [0.0, 1.0]
     while breaks[-1] < 1e4:
         breaks.append(min(breaks[-1] * 2.0, 1e4))
     total = 0.0
-    if n == 1:
-        dirs = np.array([[1.0], [-1.0]])
-        ang_w = np.array([1.0, 1.0])
-    else:
-        theta = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
-        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-        ang_w = np.full(16, 2.0 * math.pi / 16)
+    dirs, ang_w = angular_rule(n, 16)
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         rule = gauss_legendre(12, (lo, hi))
         pts = rule.nodes[:, None, None] * dirs[None, :, :]
@@ -252,7 +241,7 @@ def _ball_poisson_normalizer(n: int, s: float, r: float) -> float:
     # tail: (1/2) t^{-s-1} (1 - r^2/t + r^4/t^2 - ...)
     I += 0.5 * (T ** -s / s - rr * T ** (-s - 1.0) / (s + 1.0)
                 + rr * rr * T ** (-s - 2.0) / (s + 2.0))
-    return 1.0 / (_surface(n) * r ** (2.0 * s) * I)
+    return 1.0 / (sphere_area(n) * r ** (2.0 * s) * I)
 
 
 def ball_poisson_kernel(x, ybar, r: float, s: float):
@@ -296,10 +285,9 @@ def _shell_nodes(r: float, s: float, n: int, radial_count: int = 48,
         pts = np.concatenate([rho, -rho])[:, None]
         wq = np.concatenate([wrad, wrad])
     else:
-        theta = np.linspace(0.0, 2.0 * math.pi, angular_count, endpoint=False)
-        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+        dirs, ang_w = angular_rule(n, angular_count)
         pts = (rho[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
-        wq = np.repeat(wrad, angular_count) * (2.0 * math.pi / angular_count)
+        wq = (wrad[:, None] * ang_w[None, :]).ravel()
     return pts, wq
 
 

@@ -8,13 +8,13 @@ extension Poisson kernel,
 and its radial derivative gives the gradient components
 Psi^i(x) = Phi'(|x|) x_i / |x|.  Both are tabulated on a radial grid and
 continued beyond the grid by their power-law tails (exponent n+1-a for Phi,
-n+2-a for Psi).
+n+2-a for Psi); one radial convolution engine gives Phi_r * f and grad f.
 """
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -23,7 +23,8 @@ from .bump import BumpProfile, eta_raw, eta_raw_prime, normalize
 from .errors import TableMismatchError, ToleranceError
 from .extension import ExtensionKernel
 from .fraclap import Params, ScalarField
-from .quadrature import gauss_legendre, integrate_ball_weighted
+from .quadrature import (angular_rule, gauss_legendre, integrate_ball_weighted,
+                         sphere_area, unit_gauss)
 
 __all__ = [
     "RadialKernelTable",
@@ -31,6 +32,7 @@ __all__ = [
     "phi_direct",
     "build_table",
     "phi_r_convolve",
+    "gradient_of_solution",
     "psi_component",
     "extension_mean_value",
     "verify_kernel_properties",
@@ -54,23 +56,13 @@ DEFAULT_GRID = {
 }
 
 
-def _surface(n: int) -> float:
-    return 2.0 if n == 1 else 2.0 * math.pi
-
-
-@lru_cache(maxsize=64)
-def _unit_gauss(count: int):
-    t, w = np.polynomial.legendre.leggauss(count)
-    return 0.5 * (t + 1.0), 0.5 * w
-
-
 def _y_rule(a: float, panels: int, per: int):
     """Nodes/weights for int_0^{3/4} y^a F(y) dy on dyadic panels toward 0.
 
     Returns (nodes, weights, eps): the remainder on [0, eps) is handled
     analytically by the caller using F(0).
     """
-    t, w = _unit_gauss(per)
+    t, w = unit_gauss(per)
     nodes, weights = [], []
     hi = SUPPORT_RADIUS
     for _ in range(panels):
@@ -105,7 +97,7 @@ def _radial_panels(lo: float, hi: float, h: float, per: int):
         start = breaks[-1]
         breaks.extend(start + width * (j + 1) / parts for j in range(parts))
     breaks = np.asarray(breaks)
-    t, w = _unit_gauss(per)
+    t, w = unit_gauss(per)
     lo_b = breaks[:-1]
     width = np.diff(breaks)
     nodes = (lo_b[:, None] + width[:, None] * t[None, :]).ravel()
@@ -120,7 +112,7 @@ def _kernel_profile(profile: BumpProfile, k: ExtensionKernel, rho: float,
     kappa = profile.kappa
     ynodes, yweights, eps = _y_rule(a, grid["y_panels"], grid["y_nodes"])
     m = 0.5 * (n + 1.0 - a)
-    tg, wg = _unit_gauss(grid["angular_nodes"])
+    tg, wg = unit_gauss(grid["angular_nodes"])
 
     acc_phi = 0.0
     acc_psi = 0.0
@@ -191,10 +183,7 @@ def phi_direct(profile: BumpProfile, k: ExtensionKernel, x,
     ynodes, yweights, eps = _y_rule(a, 16, 16)
     m = 0.5 * (n + 1.0 - a)
     rho = float(np.linalg.norm(x))
-    if n == 2:
-        theta = np.linspace(0.0, 2.0 * math.pi, angular, endpoint=False)
-        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-        ang_w = 2.0 * math.pi / angular
+    dirs, ang_w = angular_rule(n, angular)
 
     acc = 0.0
     for y, wy in zip(ynodes, yweights):
@@ -205,16 +194,10 @@ def phi_direct(profile: BumpProfile, k: ExtensionKernel, x,
         lo, hi = max(0.0, rho - s_y), rho + s_y
         u, wu = _radial_panels(lo, hi, y, 10)
         pker = C * y ** (1.0 - a) * (u * u + y * y) ** -m
-        if n == 1:
-            z = np.concatenate([x[0] - u, x[0] + u])
-            R = np.sqrt(z * z + y * y)
-            vals = eta_raw(R).reshape(2, -1).sum(axis=0)
-            acc += wy * float((wu * pker) @ vals)
-        else:
-            z = x[None, None, :] + u[:, None, None] * dirs[None, :, :]
-            R = np.sqrt((z ** 2).sum(axis=2) + y * y)
-            vals = eta_raw(R).sum(axis=1) * ang_w
-            acc += wy * float((wu * u * pker) @ vals)
+        z = x[None, None, :] + u[:, None, None] * dirs[None, :, :]
+        R = np.sqrt((z ** 2).sum(axis=2) + y * y)
+        vals = eta_raw(R).sum(axis=1) * ang_w[0]  # the weights are equal
+        acc += wy * float((wu * u ** (n - 1) * pker) @ vals)
     rem = eps ** (1.0 + a) / (1.0 + a)
     return 2.0 * profile.kappa * (acc + rem * eta_raw(rho))
 
@@ -238,31 +221,27 @@ class RadialKernelTable:
     def rmax(self) -> float:
         return float(self.rho_grid[-1])
 
-    def phi_of(self, rho):
-        """Phi at radius rho; power-law tail beyond the grid."""
+    def _radial_eval(self, spline, last: float, p: float, rho):
+        """Spline inside the grid, last * (rho / rmax)^-p beyond it."""
         rho = np.asarray(rho, dtype=float)
         scalar = rho.ndim == 0
         rho = np.atleast_1d(rho)
         out = np.empty_like(rho)
         inside = rho <= self.rmax
-        out[inside] = self._phi_spline(rho[inside])
+        out[inside] = spline(rho[inside])
         if np.any(~inside):
-            p = self.params.n + 1.0 - self.params.a
-            out[~inside] = self.phi_values[-1] * (rho[~inside] / self.rmax) ** -p
+            out[~inside] = last * (rho[~inside] / self.rmax) ** -p
         return float(out[0]) if scalar else out
+
+    def phi_of(self, rho):
+        """Phi at radius rho; power-law tail beyond the grid."""
+        return self._radial_eval(self._phi_spline, self.phi_values[-1],
+                                 self.params.n + 1.0 - self.params.a, rho)
 
     def psi_radial_of(self, rho):
         """Phi' at radius rho; power-law tail beyond the grid."""
-        rho = np.asarray(rho, dtype=float)
-        scalar = rho.ndim == 0
-        rho = np.atleast_1d(rho)
-        out = np.empty_like(rho)
-        inside = rho <= self.rmax
-        out[inside] = self._psi_spline(rho[inside])
-        if np.any(~inside):
-            p = self.params.n + 2.0 - self.params.a
-            out[~inside] = self.psi_profile[-1] * (rho[~inside] / self.rmax) ** -p
-        return float(out[0]) if scalar else out
+        return self._radial_eval(self._psi_spline, self.psi_profile[-1],
+                                 self.params.n + 2.0 - self.params.a, rho)
 
     def mass(self) -> float:
         """Surface-weighted trapezoidal mass plus the analytic tail."""
@@ -278,7 +257,7 @@ class RadialKernelTable:
         c1 = (fa * rb ** -(p + 2.0) - fb * ra ** -(p + 2.0)) / det
         c2 = (fb * ra ** -p - fa * rb ** -p) / det
         tail = c1 * rb ** (n - p) / (p - n) + c2 * rb ** (n - p - 2.0) / (p + 2.0 - n)
-        return _surface(n) * (core + tail)
+        return sphere_area(n) * (core + tail)
 
 
 def build_table(params: Params, grid_spec: dict | None = None) -> RadialKernelTable:
@@ -302,14 +281,6 @@ def build_table(params: Params, grid_spec: dict | None = None) -> RadialKernelTa
                               build_meta=dict(grid))
     table.build_meta["mass_residual"] = float(abs(table.mass() - 1.0))
     return table
-
-
-def _angular_grid(n: int, count: int = 64):
-    if n == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    theta = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
-    dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-    return dirs, np.full(count, 2.0 * math.pi / count)
 
 
 def _conv_breaks(r: float, W: float) -> np.ndarray:
@@ -358,19 +329,25 @@ def _rule_on_breaks(breaks: np.ndarray, extra=(), per: int = 8):
         inside = [e for e in extra if breaks[0] < e < breaks[-1]]
         if inside:
             breaks = np.unique(np.concatenate([breaks, inside]))
-    t, w = _unit_gauss(per)
+    t, w = unit_gauss(per)
     nodes = (breaks[:-1, None] + np.diff(breaks)[:, None] * t[None, :]).ravel()
     weights = (np.diff(breaks)[:, None] * w[None, :]).ravel()
     return nodes, weights
 
 
 def _convolve_radial(table: RadialKernelTable, kernel_of, tail_exponent: float,
-                     f: ScalarField, x, r: float, tol: float,
-                     angular: int = 64, subtract=None) -> float:
-    """Radial convolution int K(w) f(x - r w) dw with power-law tail control."""
+                     f: ScalarField, x, r: float, tol: float, angular: int,
+                     subtract: float = 0.0):
+    """Radial convolution int K(w) (f(x - r w) - subtract) dw, per direction.
+
+    The integral beyond the table range is continued by the power-law tail
+    of exponent ``tail_exponent`` and truncated at the radius W where the
+    declared growth envelope bounds the remainder below ``tol``.  Returns
+    the directions d and the weighted integrals along each of them.
+    """
     n = table.params.n
     x = np.asarray(x, dtype=float).reshape(-1)
-    surf = _surface(n)
+    surf = sphere_area(n)
     rmax = table.rmax
     coef = abs(kernel_of(rmax)) * rmax ** tail_exponent
 
@@ -378,17 +355,15 @@ def _convolve_radial(table: RadialKernelTable, kernel_of, tail_exponent: float,
     deg = f.degree if f.growth == "polynomial" else 0
     W = 4.0 * rmax
     while True:
-        # envelope scale * (1+|x|)^deg + scale * (r w)^deg, integrated exactly
-        bound = surf * coef * f.scale * (1.0 + np.linalg.norm(x)) ** deg \
-            * W ** p1 / -p1
+        # |f - subtract| <= envelope(|x|) + |subtract| + scale (r w)^deg
+        bound = surf * coef * (f.envelope(float(np.linalg.norm(x)))
+                               + abs(subtract)) * W ** p1 / -p1
         if deg > 0:
             if p1 + deg >= 0.0:
                 raise ToleranceError("tail diverges for declared growth",
                                      math.inf, tol)
             bound += surf * coef * f.scale * r ** deg \
                 * W ** (p1 + deg) / -(p1 + deg)
-        if subtract is not None:
-            bound += surf * coef * abs(subtract) * W ** p1 / -p1
         if bound <= tol / 2.0 or W > 1e16:
             break
         W *= 4.0
@@ -397,26 +372,45 @@ def _convolve_radial(table: RadialKernelTable, kernel_of, tail_exponent: float,
                              bound, tol)
 
     breaks = _conv_breaks(r, W)
-    dirs, ang_w = _angular_grid(n, angular)
-    total = 0.0
+    dirs, ang_w = angular_rule(n, angular)
+    parts = []
     for d, wa in zip(dirs, ang_w):
         nodes, weights = _rule_on_breaks(
             breaks, _kink_crossings(x, r, d, f.kink_radii))
         kern = kernel_of(nodes) * nodes ** (n - 1) * weights
         pts = x[None, :] - r * nodes[:, None] * d[None, :]
-        vals = f(pts)
-        if subtract is not None:
-            vals = vals - subtract
-        total += wa * float(kern @ vals)
-    return total
+        parts.append(wa * float(kern @ (f(pts) - subtract)))
+    return dirs, parts
 
 
 def phi_r_convolve(table: RadialKernelTable, f: ScalarField, x, r: float,
                    tol: float = 1e-5, angular: int = 64) -> float:
     """Mean value convolution (Phi_r * f)(x) with Phi_r(x) = r^-n Phi(x/r)."""
     n, a = table.params.n, table.params.a
-    return _convolve_radial(table, table.phi_of, n + 1.0 - a, f, x, r, tol,
-                            angular=angular)
+    _, parts = _convolve_radial(table, table.phi_of, n + 1.0 - a, f, x, r,
+                                tol, angular)
+    return float(sum(parts))
+
+
+def gradient_of_solution(table: RadialKernelTable, f: ScalarField, x,
+                         r: float, tol: float = 1e-5,
+                         angular: int = 64) -> np.ndarray:
+    """Gradient of an s-harmonic f from the kernel-derivative representation.
+
+    Components are (1/r) * integral of (f(z) - f(x)) Psi^i_r(x - z) dz,
+    written in the scaled variable w = (x - z)/r.  The mean-zero form keeps
+    the integrand small away from x, and the tail beyond the table range is
+    continued with the gradient decay exponent n + 2 - a.
+    """
+    n, a = table.params.n, table.params.a
+    x = np.asarray(x, dtype=float).reshape(-1)
+    fx = float(f(x[None, :])[0])
+    dirs, parts = _convolve_radial(table, table.psi_radial_of, n + 2.0 - a,
+                                   f, x, r, tol, angular, subtract=fx)
+    grad = np.zeros(n)
+    for d, part in zip(dirs, parts):
+        grad += part * d
+    return grad / r
 
 
 def psi_component(table: RadialKernelTable, x, i: int) -> float:
@@ -609,34 +603,46 @@ def write_table(table: RadialKernelTable, path):
 
 
 def read_table(path) -> RadialKernelTable:
+    """Read a table written by ``write_table``.
+
+    A missing header key, a header value or row that does not parse, or a
+    row count other than the header's raises TableMismatchError.
+    """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     header = {}
     rows = []
-    for ln in lines:
-        if "=" in ln and not ln[0].isdigit() and not ln[0] == "-":
-            key, _, val = ln.partition("=")
-            header[key] = val
-        else:
-            rows.append([float(p) for p in ln.split(",")])
-    n = int(header["n"])
-    a = float(header["a"])
-    s = float(header["s"])
-    params = Params(n=n, a=a, s=s)
-    profile = BumpProfile(n=n, a=a, kappa=float(header["kappa"]),
-                          A=float(header["A"]))
-    data = np.asarray(rows)
-    if len(data) != int(header["grid"]):
-        raise TableMismatchError(
-            f"expected {header['grid']} rows, found {len(data)}")
-    meta = {}
-    if header.get("built_with"):
-        for item in header["built_with"].split(";"):
-            key, _, val = item.partition(":")
-            try:
-                meta[key] = eval(val, {"__builtins__": {}})  # repr round-trip
-            except Exception:
-                meta[key] = val
-    return RadialKernelTable(params=params, profile=profile,
-                             rho_grid=data[:, 0], phi_values=data[:, 1],
-                             psi_profile=data[:, 2], build_meta=meta)
+    try:
+        for ln in lines:
+            if "=" in ln and not ln[0].isdigit() and not ln[0] == "-":
+                key, _, val = ln.partition("=")
+                header[key] = val
+            else:
+                row = [float(p) for p in ln.split(",")]
+                if len(row) != 3:
+                    raise ValueError(f"row {ln!r} is not rho,phi,psi")
+                rows.append(row)
+        n = int(header["n"])
+        a = float(header["a"])
+        s = float(header["s"])
+        params = Params(n=n, a=a, s=s)
+        profile = BumpProfile(n=n, a=a, kappa=float(header["kappa"]),
+                              A=float(header["A"]))
+        if len(rows) != int(header["grid"]):
+            raise TableMismatchError(
+                f"expected {header['grid']} rows, found {len(rows)}")
+        meta = {}
+        if header.get("built_with"):
+            for item in header["built_with"].split(";"):
+                key, _, val = item.partition(":")
+                try:
+                    meta[key] = ast.literal_eval(val)  # repr round-trip
+                except (ValueError, SyntaxError):
+                    meta[key] = val
+        data = np.asarray(rows).reshape(-1, 3)
+        # the spline rejects a radial grid that is not increasing
+        return RadialKernelTable(params=params, profile=profile,
+                                 rho_grid=data[:, 0], phi_values=data[:, 1],
+                                 psi_profile=data[:, 2], build_meta=meta)
+    except (KeyError, ValueError) as exc:
+        raise TableMismatchError(f"malformed table {path}: {exc!r}") from exc

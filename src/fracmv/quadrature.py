@@ -5,6 +5,7 @@ nodes and weights.  Evaluation over node sets is pure.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,6 +20,9 @@ __all__ = [
     "gauss_even_weight",
     "integrate_ball_weighted",
     "adaptive_simpson",
+    "sphere_area",
+    "unit_gauss",
+    "angular_rule",
 ]
 
 
@@ -58,6 +62,32 @@ def _leggauss(count: int):
 def _jacgauss(count: int, a: float):
     # weight (1+t)^a on [-1, 1]
     return roots_jacobi(count, 0.0, a)
+
+
+def sphere_area(n: int) -> float:
+    """Surface measure |S^{n-1}| of the unit sphere in R^n, n in {1, 2}."""
+    return 2.0 if n == 1 else 2.0 * math.pi
+
+
+@lru_cache(maxsize=64)
+def unit_gauss(count: int):
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    t, w = _leggauss(count)
+    return 0.5 * (t + 1.0), 0.5 * w
+
+
+def angular_rule(n: int, count: int):
+    """Directions and weights of the full unit sphere S^{n-1}, n in {1, 2}.
+
+    For n = 1 the sphere is the two points +-1; for n = 2 the rule is the
+    equal-weight trapezoidal rule at ``count`` equally spaced angles, so the
+    weights sum to 2 pi.
+    """
+    if n == 1:
+        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+    theta = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+    dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+    return dirs, np.full(count, 2.0 * math.pi / count)
 
 
 def gauss_legendre(count: int, interval: tuple[float, float]) -> QuadratureRule:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fracmv.analysis import (BallFamily, Domain, RegularityParams, ReportRow,
-                             besov_seminorm, gradient_of_solution,
-                             gradient_sharp_ratio, hl_maximal, rows_to_csv,
-                             sharp_maximal, weighted_gradient_besov_ratio)
+from fracmv.analysis import (BallFamily, Domain, ReportRow, besov_seminorm,
+                             gradient_of_solution, gradient_sharp_ratio,
+                             hl_maximal, rows_to_csv, sharp_maximal,
+                             weighted_gradient_besov_ratio)
+from fracmv.errors import ToleranceError
 from fracmv.fraclap import ScalarField, make_field
 
 
@@ -29,47 +30,11 @@ class TestDomain:
         assert d.distance_to_boundary([4.0, 0.0]) == 0.0
         assert d.diameter == 4.0
 
-    def test_box_distance(self):
-        d = Domain.box([0.0, 0.0], [2.0, 1.0])
-        assert_allclose(d.distance_to_boundary([0.3, 0.5]), 0.3)
-        assert d.distance_to_boundary([-0.1, 0.5]) == 0.0
-
-    def test_polygon_matches_box_on_square(self):
-        poly = Domain.polygon([(0, 0), (2, 0), (2, 1), (0, 1)])
-        box = Domain.box([0.0, 0.0], [2.0, 1.0])
-        for x in ([0.3, 0.5], [1.0, 0.9], [1.7, 0.2]):
-            assert_allclose(poly.distance_to_boundary(x),
-                            box.distance_to_boundary(x), rtol=1e-12)
-
-    def test_polygon_exterior_is_zero(self):
-        poly = Domain.polygon([(0, 0), (1, 0), (0, 1)])
-        assert poly.distance_to_boundary([2.0, 2.0]) == 0.0
-
-    def test_extension_height_equals_diameter(self):
-        d = Domain.interval(0.0, 1.0)
-        assert d.extension_height == d.diameter == 1.0
-
     def test_validators(self):
         with pytest.raises(ValueError):
             Domain.interval(1.0, 1.0)
         with pytest.raises(ValueError):
             Domain.ball([0.0], -1.0)
-        with pytest.raises(ValueError):
-            Domain.box([0.0, 0.0], [1.0])
-        with pytest.raises(ValueError):
-            Domain.polygon([(0, 0), (1, 0)])
-
-
-class TestRegularityParams:
-    def test_tau_formula(self):
-        rp = RegularityParams(lam=0.5, p=2.0, alpha=1.0, n=2)
-        assert_allclose(rp.tau, 1.0)
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            RegularityParams(lam=1.5, p=2.0, alpha=0.0, n=1)
-        with pytest.raises(ValueError):
-            RegularityParams(lam=0.5, p=1.0, alpha=0.0, n=1)
 
 
 class TestBallFamily:
@@ -162,6 +127,17 @@ class TestGradient:
         fd = (f(x + h) - f(x - h)) / (2.0 * h)
         g = gradient_of_solution(table_n1_a0, f, x, 0.15)[0]
         assert_allclose(g, fd, atol=5e-4)
+
+    @pytest.mark.parametrize("fn, degree", [
+        (lambda x: np.abs(x[:, 0]) ** 2.5, 2.5),
+        (lambda x: x[:, 0] ** 3, 3.0),
+    ])
+    def test_divergent_growth_raises(self, table_n1_a0, fn, degree):
+        # the gradient kernel decays like |w|^-(n+2-a) = |w|^-3, so a
+        # declared growth of degree >= 2 leaves the tail not integrable
+        f = _field(fn, growth="polynomial", degree=degree)
+        with pytest.raises(ToleranceError, match="diverges"):
+            gradient_of_solution(table_n1_a0, f, np.array([0.3]), 0.2)
 
 
 class TestBesov:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fracmv.cli import main
+from fracmv.errors import TableMismatchError
 from fracmv.kernel import read_table, write_table
 
 COARSE = """\
@@ -114,6 +115,35 @@ class TestUsageErrors:
         assert main(["kernel", "build", "--s", "0.5",
                      "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("line", [
+        "n = two",
+        "seed = x",
+        "a = zero",
+        "tol.mvp = small",
+        "grid.dense_points = 1e1",
+        "grid.bogus = 3",
+    ])
+    def test_bad_config_line(self, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["kernel", "build", "--s", "0.5", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+
+    def test_a_that_params_rejects(self, tmp_path):
+        # in range, but 2s + a with s = (1 - a)/2 does not round back to 1
+        assert main(["kernel", "build", "--a", "-0.9985995991983968",
+                     "--out", str(tmp_path)]) == 2
+
+
+def test_grid_value_in_exponent_form(tmp_path, coarse_config):
+    cfg = tmp_path / "rmax.cfg"
+    cfg.write_text(COARSE + "grid.rmax = 1e1\n")
+    path = tmp_path / "table.txt"
+    assert main(["kernel", "build", "--s", "0.5", "--config", str(cfg),
+                 "--table", str(path)]) == 0
+    table = read_table(path)
+    assert table.rmax == 10.0 and table.build_meta["rmax"] == 10.0
+
 
 class TestIOErrors:
     def test_missing_config_file(self):
@@ -122,6 +152,31 @@ class TestIOErrors:
 
     def test_missing_table_file(self):
         assert main(["mvp", "--table", "/nonexistent/table.txt"]) == 4
+
+
+class TestMalformedTable:
+    def test_missing_header_key_exits_3(self, tmp_path):
+        path = tmp_path / "truncated.txt"
+        path.write_text("n=1\na=0.0\n")
+        with pytest.raises(TableMismatchError):
+            read_table(path)
+        assert main(["mvp", "--table", str(path), "--out", str(tmp_path)]) == 3
+
+    def test_non_numeric_row_exits_3(self, table_file, tmp_path):
+        lines = open(table_file).read().splitlines()
+        lines[-1] = "16.0,oops,0.0"
+        path = tmp_path / "edited.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TableMismatchError):
+            read_table(path)
+        assert main(["mvp", "--table", str(path), "--out", str(tmp_path)]) == 3
+
+    def test_metadata_is_not_evaluated(self, table_file, tmp_path):
+        text = open(table_file).read().replace(
+            "built_with=", "built_with=probe:2**3;", 1)
+        path = tmp_path / "meta.txt"
+        path.write_text(text)
+        assert read_table(path).build_meta["probe"] == "2**3"
 
 
 def test_config_file_comments_and_tolerances(table_file, tmp_path):
