@@ -9,7 +9,6 @@ from .errors import (
     EvaluationError,
     FieldRejectedError,
     FracmvError,
-    NormalizationError,
     TableMismatchError,
     ToleranceError,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "EvaluationError",
     "FieldRejectedError",
     "FracmvError",
-    "NormalizationError",
     "TableMismatchError",
     "ToleranceError",
     "Params",

@@ -8,12 +8,14 @@ gradient is phi(X) * X.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NormalizationError
-from .quadrature import gauss_legendre, integrate_ball_weighted
+# integrate_ball_weighted is no longer called here, but perfbench/trace.py
+# requires the fracmv.bump binding to exist so it can wrap it
+from .quadrature import gauss_legendre, integrate_ball_weighted  # noqa: F401
 
 __all__ = ["BumpProfile", "eta_raw", "eta_raw_prime", "normalize"]
 
@@ -100,28 +102,23 @@ class BumpProfile:
         return out[0] if single else out
 
 
-def normalize(n: int, a: float, resolution: int = 96) -> BumpProfile:
+def normalize(n: int, a: float) -> BumpProfile:
     """Build the profile with kappa fixed by the weighted unit-mass condition.
 
-    The normalizing integral is recomputed at a finer resolution; if the two
-    values disagree beyond 1e-9 relative, a NormalizationError is raised.
+    In polar coordinates the weighted mass of eta(|X|) over R^{n+1} is the
+    radial moment int eta(rho) rho^{n+a} drho times the weighted sphere area
+    int_{S^n} |omega_{n+1}|^a = 2 pi^{n/2} Gamma((a+1)/2) / Gamma((n+1+a)/2),
+    a closed form; one Gauss rule on the support gives both moments.
     """
     if n not in (1, 2):
         raise ValueError(f"n must be 1 or 2, got {n}")
     if not -1.0 < a < 1.0:
         raise ValueError(f"a must lie in (-1, 1), got {a}")
 
-    def raw(points):
-        return eta_raw(np.linalg.norm(points, axis=-1))
-
-    center = np.zeros(n + 1)
-    mass = integrate_ball_weighted(raw, center, 1.0, a, resolution)
-    mass_fine = integrate_ball_weighted(raw, center, 1.0, a, resolution + resolution // 3)
-    residual = abs(mass_fine - mass) / abs(mass_fine)
-    if residual > 1e-9:
-        raise NormalizationError("profile normalization did not converge", residual)
-    kappa = float(1.0 / mass_fine)
-
     rule = gauss_legendre(80, (SUPPORT_LO, SUPPORT_HI))
-    A = float(kappa * (rule.weights @ (rule.nodes * eta_raw(rule.nodes))))
+    eta = eta_raw(rule.nodes)
+    sphere = 2.0 * math.pi ** (n / 2.0) * math.gamma((a + 1.0) / 2.0) \
+        / math.gamma((n + 1.0 + a) / 2.0)
+    kappa = float(1.0 / (sphere * (rule.weights @ (eta * rule.nodes ** (n + a)))))
+    A = float(kappa * (rule.weights @ (rule.nodes * eta)))
     return BumpProfile(n=n, a=a, kappa=kappa, A=A)

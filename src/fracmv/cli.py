@@ -8,6 +8,7 @@ plus flags (flags win).  Exit codes: 0 pass, 1 tolerance failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -65,7 +66,7 @@ class RunConfig:
             if self.s is not None:
                 return Params.from_s(self.n, self.s)
             return Params.from_a(self.n, self.a)
-        except ValueError as exc:  # e.g. 2s + a = 1 fails to round exactly
+        except ValueError as exc:  # e.g. a tiny s rounds a = 1 - 2s to 1
             raise UsageError(str(exc)) from exc
 
     def tol(self, name: str) -> float:
@@ -107,8 +108,15 @@ def _apply_config_key(cfg: RunConfig, key: str, val: str):
     elif key.startswith("tol."):
         cfg.tolerances[key[4:]] = float(val)
     elif key.startswith("grid.") and key[5:] in DEFAULT_GRID:
+        name = key[5:]
         # each grid value keeps the type of its default
-        cfg.grid[key[5:]] = type(DEFAULT_GRID[key[5:]])(val)
+        value = type(DEFAULT_GRID[name])(val)
+        # rmax must lie beyond the dense grid on [0, 2], which needs both of
+        # its end points; every other count must be positive
+        low = {"rmax": 2.0, "dense_points": 1}.get(name, 0)
+        if not low < value < math.inf:
+            raise UsageError(f"config key {key!r}: {value} is out of range")
+        cfg.grid[name] = value
     else:
         raise UsageError(f"unknown config key {key!r}")
 

@@ -5,17 +5,6 @@ class FracmvError(RuntimeError):
     """Base class for package-specific runtime failures."""
 
 
-class NormalizationError(FracmvError):
-    """A numerically computed normalizing constant failed to converge.
-
-    Carries the residual of the convergence check in ``residual``.
-    """
-
-    def __init__(self, message, residual):
-        super().__init__(f"{message} (residual={residual:.3e})")
-        self.residual = residual
-
-
 class ToleranceError(FracmvError):
     """A truncation/tail estimate exceeded the requested tolerance."""
 

@@ -3,53 +3,31 @@
 The kernel P_y(x) = C y^{1-a} (|x|^2 + y^2)^{-(n+1-a)/2} maps boundary data
 f on R^n to the extension u(x, y) = (P_y * f)(x) in the upper half-space;
 the even reflection v(x, y) = u(x, |y|) solves div(|y|^a grad v) = 0.
-The constant C is fixed numerically by the unit-mass condition at y = 1.
+The constant C, which gives the kernel unit mass at every height, has the
+closed form of Caffarelli and Silvestre (Comm. PDE 32, 2007).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import FieldRejectedError, NormalizationError, ToleranceError
+from .errors import FieldRejectedError, ToleranceError
 from .fraclap import ScalarField
 from .quadrature import angular_rule, gauss_legendre, sphere_area
 
 __all__ = ["ExtensionKernel", "poisson_constant", "extend", "reflected_extension"]
 
 
-def _profile_mass(n: int, a: float, per_panel: int) -> float:
-    """Radial integral of (1+rho^2)^{-(n+1-a)/2} rho^{n-1} over (0, inf)."""
-    m = (n + 1.0 - a) / 2.0
-    total = 0.0
-    lo = 0.0
-    R = 2.0 ** 20
-    hi = 1.0
-    while lo < R:
-        rule = gauss_legendre(per_panel, (lo, hi))
-        total += float(rule.weights @ (rule.nodes ** (n - 1)
-                                       * (1.0 + rule.nodes ** 2) ** -m))
-        lo, hi = hi, min(hi * 2.0, R)
-    # exact power-law tail: rho^{a-2} (1 - m rho^{-2} + ...)
-    total += R ** (a - 1.0) / (1.0 - a) - m * R ** (a - 3.0) / (3.0 - a)
-    return sphere_area(n) * total
-
-
-@lru_cache(maxsize=64)
 def poisson_constant(n: int, a: float) -> float:
-    """Normalizing constant C with unit kernel mass at height y = 1."""
+    """Normalizing constant C = Gamma((n+1-a)/2) / (pi^{n/2} Gamma((1-a)/2))."""
     if n not in (1, 2):
         raise ValueError(f"n must be 1 or 2, got {n}")
     if not -1.0 < a < 1.0:
         raise ValueError(f"a must lie in (-1, 1), got {a}")
-    mass = _profile_mass(n, a, 24)
-    mass_fine = _profile_mass(n, a, 32)
-    residual = abs(mass_fine - mass) / abs(mass_fine)
-    if residual > 1e-12:
-        raise NormalizationError("Poisson constant did not converge", residual)
-    return 1.0 / mass_fine
+    return math.gamma((n + 1.0 - a) / 2.0) \
+        / (math.pi ** (n / 2.0) * math.gamma((1.0 - a) / 2.0))
 
 
 @dataclass(frozen=True)
@@ -58,16 +36,15 @@ class ExtensionKernel:
 
     n: int
     a: float
-    s: float
     C: float
 
     @classmethod
     def create(cls, n: int, a: float) -> "ExtensionKernel":
-        return cls(n=n, a=a, s=(1.0 - a) / 2.0, C=poisson_constant(n, a))
+        return cls(n=n, a=a, C=poisson_constant(n, a))
 
-    def __post_init__(self):
-        if 2.0 * self.s + self.a != 1.0:
-            raise ValueError("2s + a must equal 1 exactly")
+    @property
+    def s(self) -> float:
+        return (1.0 - self.a) / 2.0
 
     def poisson_kernel(self, x, y: float):
         """P_y(x) for y > 0; evaluated in log space for stability."""

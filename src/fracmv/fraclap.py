@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -35,32 +34,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Params:
-    """Problem parameters: dimension n, weight exponent a, fractional order s.
+    """Problem parameters: dimension n and weight exponent a.
 
-    The relation 2s + a = 1 must hold exactly.
+    The fractional order s = (1 - a)/2 is derived from a.
     """
 
     n: int
     a: float
-    s: float
 
     def __post_init__(self):
         if self.n not in (1, 2):
             raise ValueError(f"n must be 1 or 2, got {self.n}")
         if not -1.0 < self.a < 1.0:
             raise ValueError(f"a must lie in (-1, 1), got {self.a}")
+        # a within one ulp of -1 rounds s up to exactly 1
         if not 0.0 < self.s < 1.0:
             raise ValueError(f"s must lie in (0, 1), got {self.s}")
-        if 2.0 * self.s + self.a != 1.0:
-            raise ValueError(f"2s + a must equal 1 exactly, got {2 * self.s + self.a}")
+
+    @property
+    def s(self) -> float:
+        return (1.0 - self.a) / 2.0
 
     @classmethod
     def from_s(cls, n: int, s: float) -> "Params":
-        return cls(n=n, a=1.0 - 2.0 * s, s=s)
+        return cls(n=n, a=1.0 - 2.0 * s)
 
     @classmethod
     def from_a(cls, n: int, a: float) -> "Params":
-        return cls(n=n, a=a, s=(1.0 - a) / 2.0)
+        return cls(n=n, a=a)
 
 
 @dataclass
@@ -216,38 +217,20 @@ def frac_lap(f: ScalarField, x, s: float, tol: float = 1e-6) -> float:
     return -0.5 * total
 
 
-@lru_cache(maxsize=64)
-def _ball_poisson_normalizer(n: int, s: float, r: float) -> float:
-    """Constant making the ball Poisson kernel have unit mass at the center.
+def _ball_poisson_normalizer(n: int, s: float) -> float:
+    """Riesz constant c(n, s) = Gamma(n/2) sin(pi s) / pi^{n/2+1}.
 
-    Computes 1 / (|S^{n-1}| r^{2s} I) with I = int_r^inf (rho^2-r^2)^{-s}/rho
-    drho, evaluated after t = rho^2 - r^2 by a Jacobi rule with weight t^{-s}
-    plus an analytic power-series tail.
+    It gives the ball Poisson kernel unit mass at the center for every
+    radius r, since int_r^inf (rho^2-r^2)^{-s}/rho drho = r^{-2s} pi/(2 sin pi s).
     """
-    rr = r * r
-    # Jacobi panel [0, r^2] handles the t^{-s} endpoint; the integrand then
-    # decays like t^{-s-1}, covered by geometric panels plus an analytic tail.
-    u, w = roots_jacobi(40, 0.0, -s)
-    t = rr * (1.0 + u) / 2.0
-    wt = (rr / 2.0) ** (1.0 - s) * w
-    I = float(wt @ (1.0 / (2.0 * (t + rr))))
-    lo, T = rr, 1e8 * rr
-    while lo < T:
-        hi = min(lo * 4.0, T)
-        rule = gauss_legendre(16, (lo, hi))
-        I += float(rule.weights @ (rule.nodes ** -s
-                                   / (2.0 * (rule.nodes + rr))))
-        lo = hi
-    # tail: (1/2) t^{-s-1} (1 - r^2/t + r^4/t^2 - ...)
-    I += 0.5 * (T ** -s / s - rr * T ** (-s - 1.0) / (s + 1.0)
-                + rr * rr * T ** (-s - 2.0) / (s + 2.0))
-    return 1.0 / (sphere_area(n) * r ** (2.0 * s) * I)
+    return math.gamma(n / 2.0) * math.sin(math.pi * s) / math.pi ** (n / 2.0 + 1.0)
 
 
 def ball_poisson_kernel(x, ybar, r: float, s: float):
     """Fractional Poisson kernel of the ball B(0, r) at interior x, exterior ybar.
 
-    Normalized numerically so the kernel has unit mass in ybar at x = 0.
+    Normalized by the closed-form Riesz constant, so the kernel has unit mass
+    in ybar at x = 0.
     ``ybar`` may be a single point or an array of shape (m, n).
     """
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -261,7 +244,7 @@ def ball_poisson_kernel(x, ybar, r: float, s: float):
         raise ValueError(f"|x|={rx} must be < r={r}")
     if np.any(ry <= r):
         raise ValueError("|ybar| must be > r")
-    c = _ball_poisson_normalizer(n, s, r)
+    c = _ball_poisson_normalizer(n, s)
     vals = c * ((r * r - rx * rx) / (ry * ry - r * r)) ** s \
         / np.linalg.norm(yb - x, axis=1) ** n
     return float(vals[0]) if single else vals
@@ -303,7 +286,7 @@ def sample_sharmonic(g, r: float, s: float, n: int, radial_count: int = 48,
     gvals = np.asarray(g(pts), dtype=float)
     if not np.all(np.isfinite(gvals)):
         raise FieldRejectedError("exterior data must be bounded on its support")
-    c = _ball_poisson_normalizer(n, s, r)
+    c = _ball_poisson_normalizer(n, s)
     # (|ybar|^2-r^2)^{-s} is already folded into wq via the Jacobi weight
     coef = c * wq * gvals
 

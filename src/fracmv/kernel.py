@@ -605,8 +605,9 @@ def write_table(table: RadialKernelTable, path):
 def read_table(path) -> RadialKernelTable:
     """Read a table written by ``write_table``.
 
-    A missing header key, a header value or row that does not parse, or a
-    row count other than the header's raises TableMismatchError.
+    A missing header key, a header value or row that does not parse, an
+    ``s`` other than (1 - a)/2, or a row count other than the header's
+    raises TableMismatchError.
     """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -624,8 +625,10 @@ def read_table(path) -> RadialKernelTable:
                 rows.append(row)
         n = int(header["n"])
         a = float(header["a"])
-        s = float(header["s"])
-        params = Params(n=n, a=a, s=s)
+        params = Params(n=n, a=a)
+        if float(header["s"]) != params.s:
+            raise TableMismatchError(
+                f"s={header['s']} is not (1 - a)/2 = {params.s!r}")
         profile = BumpProfile(n=n, a=a, kappa=float(header["kappa"]),
                               A=float(header["A"]))
         if len(rows) != int(header["grid"]):

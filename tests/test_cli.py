@@ -46,6 +46,15 @@ class TestKernelBuild:
                          "--config", coarse_config, "--table", str(path)]) == 0
         assert pa.read_bytes() == pb.read_bytes()
 
+    @pytest.mark.parametrize("a", ["-0.95", "-0.9985995991983968"])
+    def test_builds_at_low_a(self, tmp_path, coarse_config, a):
+        # -0.95 failed the old quadrature normalization of kappa; the other a
+        # failed an exact 2s + a == 1 check when Params stored s
+        path = tmp_path / "low_a.txt"
+        assert main(["kernel", "build", "--n", "1", "--a", a,
+                     "--config", coarse_config, "--table", str(path)]) == 0
+        assert read_table(path).params.a == float(a)
+
     def test_config_overridden_by_flag(self, tmp_path, coarse_config):
         cfg = tmp_path / "with_a.cfg"
         cfg.write_text(COARSE + "a = 0.5\n")
@@ -122,16 +131,20 @@ class TestUsageErrors:
         "tol.mvp = small",
         "grid.dense_points = 1e1",
         "grid.bogus = 3",
+        "grid.rmax = 1.5",
+        "grid.rmax = 2",
+        "grid.rmax = inf",
+        "grid.dense_points = 1",
+        "grid.geo_points = 0",
+        "grid.y_panels = 0",
+        "grid.y_nodes = 0",
+        "grid.radial_nodes = -1",
+        "grid.angular_nodes = 0",
     ])
     def test_bad_config_line(self, tmp_path, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         assert main(["kernel", "build", "--s", "0.5", "--config", str(cfg),
-                     "--out", str(tmp_path)]) == 2
-
-    def test_a_that_params_rejects(self, tmp_path):
-        # in range, but 2s + a with s = (1 - a)/2 does not round back to 1
-        assert main(["kernel", "build", "--a", "-0.9985995991983968",
                      "--out", str(tmp_path)]) == 2
 
 
@@ -167,6 +180,15 @@ class TestMalformedTable:
         lines[-1] = "16.0,oops,0.0"
         path = tmp_path / "edited.txt"
         path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TableMismatchError):
+            read_table(path)
+        assert main(["mvp", "--table", str(path), "--out", str(tmp_path)]) == 3
+
+    def test_s_inconsistent_with_a_exits_3(self, table_file, tmp_path):
+        text = open(table_file).read().replace("\ns=0.5\n", "\ns=0.4\n", 1)
+        assert "\ns=0.4\n" in text
+        path = tmp_path / "edited_s.txt"
+        path.write_text(text)
         with pytest.raises(TableMismatchError):
             read_table(path)
         assert main(["mvp", "--table", str(path), "--out", str(tmp_path)]) == 3

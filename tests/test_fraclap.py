@@ -20,10 +20,17 @@ class TestParams:
         p = Params.from_a(2, 0.5)
         assert p.s == 0.25
 
-    @pytest.mark.parametrize("n,a,s", [(1, 0.5, 0.4), (3, 0.0, 0.5)])
-    def test_rejects_inconsistent(self, n, a, s):
+    @pytest.mark.parametrize("n,a", [(3, 0.0), (1, 1.0), (1, -1.0),
+                                     (1, math.nextafter(-1.0, 0.0))])
+    def test_rejects_out_of_range(self, n, a):
+        # the last a is in range, but s = (1 - a)/2 rounds to exactly 1
         with pytest.raises(ValueError):
-            Params(n=n, a=a, s=s)
+            Params(n=n, a=a)
+
+    def test_every_a_in_range_constructs(self):
+        # 1,036 of these failed an exact 2s + a == 1 check when s was stored
+        for a in np.linspace(-0.999, 0.999, 9981):
+            assert 0.0 < Params.from_a(1, float(a)).s < 1.0
 
 
 class TestGrowthClass:
@@ -87,7 +94,7 @@ class TestBallPoissonKernel:
         r, s, n = 1.0, 0.4, 1
 
         from fracmv.fraclap import _ball_poisson_normalizer
-        c = _ball_poisson_normalizer(n, s, r)
+        c = _ball_poisson_normalizer(n, s)
 
         def mass_at(x):
             x0 = float(x[0])
