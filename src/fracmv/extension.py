@@ -72,14 +72,17 @@ def _check_growth(f: ScalarField, s: float):
 
 def _radial_rule(W: float, per_panel: int = 12):
     """Radial nodes/weights on (0, W): unit panels up to 1, then geometric."""
-    nodes, weights = [], []
-    lo, hi = 0.0, 0.5
-    while lo < W:
-        rule = gauss_legendre(per_panel, (lo, hi))
-        nodes.append(rule.nodes)
-        weights.append(rule.weights)
-        lo, hi = hi, min(hi * 2.0, W)
-    return np.concatenate(nodes), np.concatenate(weights)
+    breaks = [0.0, 0.5]
+    while breaks[-1] < W:
+        breaks.append(min(breaks[-1] * 2.0, W))
+    lo, hi = np.array(breaks[:-1]), np.array(breaks[1:])
+    # the reference rule on (-1, 1), mapped onto every panel at once
+    ref = gauss_legendre(per_panel, (-1.0, 1.0))
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    nodes = mid[:, None] + half[:, None] * ref.nodes[None, :]
+    weights = half[:, None] * ref.weights[None, :]
+    return nodes.ravel(), weights.ravel()
 
 
 def extend(k: ExtensionKernel, f: ScalarField, x, y: float, tol: float = 1e-8):
@@ -133,8 +136,9 @@ def extend(k: ExtensionKernel, f: ScalarField, x, y: float, tol: float = 1e-8):
 def reflected_extension(k: ExtensionKernel, f: ScalarField, tol: float = 1e-8):
     """Evaluator for v(z, y) on R^{n+1}, batched over points sharing a height.
 
-    Accepts an array of shape (m, n+1); points are grouped by |y| so each
-    group is a single batched convolution.
+    Accepts an array of shape (m, n+1).  Points are grouped by |y|, so the
+    mirrored points (z, y) and (z, -y) share one group, and each group makes
+    one batched convolution over its distinct z rows.
     """
     def v(points):
         points = np.asarray(points, dtype=float).reshape(-1, k.n + 1)
@@ -142,7 +146,8 @@ def reflected_extension(k: ExtensionKernel, f: ScalarField, tol: float = 1e-8):
         out = np.empty(len(points))
         for h in np.unique(heights):
             sel = heights == h
-            out[sel] = extend(k, f, points[sel, :-1], h, tol=tol)
+            rows, back = np.unique(points[sel, :-1], axis=0, return_inverse=True)
+            out[sel] = extend(k, f, rows, h, tol=tol)[back.ravel()]
         return out
 
     return v

@@ -281,6 +281,12 @@ def sample_sharmonic(g, r: float, s: float, n: int, radial_count: int = 48,
     ``g`` must be bounded with compact support in r < |ybar| <= 4r; outside
     the ball the field equals ``g`` itself, so the interior values are the
     exact s-harmonic continuation of the exterior data.
+
+    Inside the ball the evaluator forms |x - ybar|^n without a square root:
+    |x1 - y1| for n = 1 (exactly what the Euclidean norm gives), and the sum
+    of squared coordinate differences for n = 2.  The expanded form
+    |x|^2 + |ybar|^2 - 2 x.ybar is avoided, because it cancels badly when x
+    is close to the shell.
     """
     pts, wq = _shell_nodes(r, s, n, radial_count, angular_count)
     gvals = np.asarray(g(pts), dtype=float)
@@ -297,9 +303,17 @@ def sample_sharmonic(g, r: float, s: float, n: int, radial_count: int = 48,
         inside = rx < r
         if np.any(inside):
             xi = x[inside]
-            d = np.linalg.norm(xi[:, None, :] - pts[None, :, :], axis=2)
-            fac = (r * r - np.linalg.norm(xi, axis=1) ** 2) ** s
-            out[inside] = fac * (coef[None, :] / d ** n).sum(axis=1)
+            # |x - ybar|^n, built in place in one (m, N) array
+            dist_n = xi[:, :1] - pts[None, :, 0]
+            if n == 1:
+                np.abs(dist_n, out=dist_n)
+            else:
+                dist_n *= dist_n
+                dx2 = xi[:, 1:] - pts[None, :, 1]
+                dx2 *= dx2
+                dist_n += dx2
+            fac = (r * r - rx[inside] ** 2) ** s
+            out[inside] = fac * np.divide(coef, dist_n, out=dist_n).sum(axis=1)
         if np.any(~inside):
             out[~inside] = np.asarray(g(x[~inside]), dtype=float)
         return out

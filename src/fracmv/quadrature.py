@@ -131,11 +131,12 @@ def gauss_even_weight(count: int, a: float, Y: float) -> QuadratureRule:
 
 
 def _ball_y_rule(a: float, radius: float, resolution: int):
-    """Symmetric y-rule for ball slices: weight |y|^a with an edge-aware tail.
+    """Positive half of the symmetric y-rule for ball slices.
 
-    Jacobi nodes handle the y^a weight on [0, R/2]; on [R/2, R] the slice
-    width behaves like sqrt(R^2 - y^2), so the substitution y = R sin(phi)
-    removes the square-root edge there.
+    The rule has weight |y|^a and an edge-aware tail; the nodes -y carry the
+    same weights as y.  Jacobi nodes handle the y^a weight on [0, R/2]; on
+    [R/2, R] the slice width behaves like sqrt(R^2 - y^2), so the
+    substitution y = R sin(phi) removes the square-root edge there.
     """
     half = max(2, resolution // 2)
     t, w = _jacgauss(half, a)
@@ -144,9 +145,7 @@ def _ball_y_rule(a: float, radius: float, resolution: int):
     phi = gauss_legendre(half, (np.arcsin(0.5), 0.5 * np.pi))
     y_out = radius * np.sin(phi.nodes)
     w_out = phi.weights * radius * np.cos(phi.nodes) * y_out ** a
-    y = np.concatenate([y_in, y_out])
-    wy = np.concatenate([w_in, w_out])
-    return np.concatenate([-y[::-1], y]), np.concatenate([wy[::-1], wy])
+    return np.concatenate([y_in, y_out]), np.concatenate([w_in, w_out])
 
 
 def integrate_ball_weighted(g, center, radius: float, a: float, resolution: int) -> float:
@@ -156,7 +155,9 @@ def integrate_ball_weighted(g, center, radius: float, a: float, resolution: int)
     and must return an array of shape (m,).  The last coordinate is y; the
     center must lie on the hyperplane y = 0 so the Jacobi rule in y applies.
     The ball indicator is absorbed by restricting the x-range to the slice
-    width at each y node.
+    width at each y node.  The y-rule is symmetric, so the lines at -y and
+    +y share their x nodes: each ``g`` call holds both mirrored lines, the
+    one at -y first, with equal x columns.
     """
     center = np.asarray(center, dtype=float)
     n = center.size - 1
@@ -168,37 +169,46 @@ def integrate_ball_weighted(g, center, radius: float, a: float, resolution: int)
         raise ValueError("ball center must lie on the hyperplane y=0")
     ynodes, yweights = _ball_y_rule(a, radius, resolution)
 
-    total = 0.0
-    for y, wy in zip(ynodes, yweights):
+    def mirrored_sums(xcols, y, weights):
+        # weighted sums of g over the x line at -y and at +y
+        m = len(weights)
+        pts = np.empty((2 * m, n + 1))
+        pts[:m, :-1] = xcols
+        pts[m:, :-1] = xcols
+        pts[:m, -1] = -y
+        pts[m:, -1] = y
+        vals = np.asarray(g(pts), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise EvaluationError(pts[~np.isfinite(vals)][0])
+        return float(weights @ vals[:m]), float(weights @ vals[m:])
+
+    below = np.zeros(len(ynodes))
+    above = np.zeros(len(ynodes))
+    for j, y in enumerate(ynodes):
         s = radius * radius - y * y
         if s <= 0.0:
             continue
         s = np.sqrt(s)
         x1 = gauss_legendre(resolution, (center[0] - s, center[0] + s))
         if n == 1:
-            pts = np.column_stack([x1.nodes, np.full(x1.nodes.size, y)])
-            vals = np.asarray(g(pts), dtype=float)
-            if not np.all(np.isfinite(vals)):
-                raise EvaluationError(pts[~np.isfinite(vals)][0])
-            total += wy * float(x1.weights @ vals)
+            below[j], above[j] = mirrored_sums(x1.nodes[:, None], y, x1.weights)
         else:
-            slice_val = 0.0
             for u, wu in zip(x1.nodes, x1.weights):
                 s2 = s * s - (u - center[0]) ** 2
                 if s2 <= 0.0:
                     continue
                 s2 = np.sqrt(s2)
                 x2 = gauss_legendre(resolution, (center[1] - s2, center[1] + s2))
-                pts = np.column_stack([
-                    np.full(x2.nodes.size, u),
-                    x2.nodes,
-                    np.full(x2.nodes.size, y),
-                ])
-                vals = np.asarray(g(pts), dtype=float)
-                if not np.all(np.isfinite(vals)):
-                    raise EvaluationError(pts[~np.isfinite(vals)][0])
-                slice_val += wu * float(x2.weights @ vals)
-            total += wy * slice_val
+                xcols = np.column_stack([np.full(x2.nodes.size, u), x2.nodes])
+                lo, hi = mirrored_sums(xcols, y, x2.weights)
+                below[j] += wu * lo
+                above[j] += wu * hi
+    # accumulate the slices in the order of y from -R to R
+    total = 0.0
+    for wy, val in zip(yweights[::-1], below[::-1]):
+        total += wy * val
+    for wy, val in zip(yweights, above):
+        total += wy * val
     return total
 
 

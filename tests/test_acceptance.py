@@ -9,11 +9,9 @@ n = 2 leg is a single smoke ratio).  Kernel tables are session-cached.
 import math
 
 import numpy as np
-import pytest
 
 from fracmv.analysis import (BallFamily, Domain, gradient_sharp_ratio,
                              weighted_gradient_besov_ratio)
-from fracmv.bump import normalize
 from fracmv.cli import _interior_points
 from fracmv.extension import ExtensionKernel, reflected_extension
 from fracmv.fraclap import Params, frac_lap, make_field

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fracmv.bump import BumpProfile, eta_raw, eta_raw_prime, normalize
+from fracmv.bump import eta_raw, eta_raw_prime, normalize
 from fracmv.quadrature import adaptive_simpson, integrate_ball_weighted
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fracmv.extension
 from fracmv.errors import FieldRejectedError
-from fracmv.extension import (ExtensionKernel, extend, poisson_constant,
-                              reflected_extension)
+from fracmv.extension import (ExtensionKernel, _radial_rule, extend,
+                              poisson_constant, reflected_extension)
 from fracmv.fraclap import make_field
 from fracmv.quadrature import adaptive_simpson, gauss_legendre
 
@@ -123,3 +124,42 @@ def test_extend_at_zero_height_returns_field():
     k = ExtensionKernel.create(1, 0.0)
     f = make_field("gaussian", 1, k.s)
     assert extend(k, f, np.array([0.25]), 0.0) == f(np.array([0.25]))
+
+
+@pytest.mark.parametrize("W", [0.75, 64.0, 1e6, 3.0e17])
+def test_radial_rule_matches_panel_loop(W):
+    # reference: one Gauss-Legendre rule per panel, unit panels then doubling
+    nodes, weights = [], []
+    lo, hi = 0.0, 0.5
+    while lo < W:
+        rule = gauss_legendre(12, (lo, hi))
+        nodes.append(rule.nodes)
+        weights.append(rule.weights)
+        lo, hi = hi, min(hi * 2.0, W)
+    t, wt = _radial_rule(W)
+    np.testing.assert_array_equal(t, np.concatenate(nodes))
+    np.testing.assert_array_equal(wt, np.concatenate(weights))
+
+
+def test_reflected_extension_evaluates_mirrored_rows_once(monkeypatch):
+    k = ExtensionKernel.create(1, 0.3)
+    f = make_field("ball_poisson", 1, k.s, seed=1)  # bounded: W ignores the batch
+    received = []
+    real_extend = fracmv.extension.extend
+
+    def recording_extend(k_, f_, x, y, tol=1e-8):
+        received.append((np.array(x, copy=True), y))
+        return real_extend(k_, f_, x, y, tol=tol)
+
+    monkeypatch.setattr(fracmv.extension, "extend", recording_extend)
+    xs = np.linspace(-0.6, 0.6, 5)
+    points = np.array([[x, y] for y in (-0.25, -0.1, 0.1, 0.25) for x in xs])
+    v = reflected_extension(k, f)
+    values = v(points)
+
+    # one extend per |y|, on the distinct x rows of that height
+    assert [h for _, h in received] == [0.1, 0.25]
+    for rows, _ in received:
+        np.testing.assert_array_equal(np.sort(rows[:, 0]), xs)
+    singles = np.array([v(p[None, :])[0] for p in points])
+    np.testing.assert_array_equal(values, singles)

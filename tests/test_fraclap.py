@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fracmv.fraclap import (FIELD_NAMES, Params, ScalarField,
+                            _ball_poisson_normalizer, _shell_nodes,
                             ball_poisson_kernel, frac_lap, growth_class_check,
                             make_field, sample_sharmonic)
-from fracmv.quadrature import adaptive_simpson, gauss_legendre
+from fracmv.quadrature import adaptive_simpson
 
 
 class TestParams:
@@ -167,6 +168,37 @@ class TestSampleFields:
             assert isinstance(f, ScalarField)
         with pytest.raises(ValueError):
             make_field("nope", 1, 0.5)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_evaluator_matches_norm_formula(self, n):
+        # the evaluator forms |x - ybar|^n without a square root; compare it
+        # with the Euclidean-norm formula on the same shell nodes, including
+        # points with 1 - |x|/r down to 1e-12
+        r, s = 1.3, 0.35
+
+        def g(y):
+            y = np.asarray(y, dtype=float).reshape(-1, n)
+            return 1.0 + 0.5 * np.cos(3.0 * y[:, 0]) + 0.2 * y[:, -1]
+
+        rng = np.random.default_rng(7)
+        dirs = rng.normal(size=(60, n))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        frac = np.concatenate([rng.uniform(0.0, 0.9, 48),
+                               1.0 - 10.0 ** -np.arange(1.0, 13.0)])
+        x = dirs * (r * frac)[:, None]
+        assert np.all(np.linalg.norm(x, axis=1) < r)
+
+        pts, wq = _shell_nodes(r, s, n)
+        coef = _ball_poisson_normalizer(n, s) * wq * g(pts)
+        d = np.linalg.norm(x[:, None, :] - pts[None, :, :], axis=2)
+        fac = (r * r - np.linalg.norm(x, axis=1) ** 2) ** s
+        expected = fac * (coef[None, :] / d ** n).sum(axis=1)
+
+        got = sample_sharmonic(g, r, s, n)(x)
+        if n == 1:
+            np.testing.assert_array_equal(got, expected)
+        else:
+            assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
     def test_growth_tag_consistent_with_samples(self):
         for name in ("constant", "gaussian", "ball_poisson"):

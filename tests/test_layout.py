@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fracmv"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "fracmv"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -17,3 +18,36 @@ def test_no_private_names_imported_across_modules(path):
                if isinstance(node, ast.ImportFrom) and node.level > 0
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def _unused_imports(path):
+    """Names a module imports but never uses; `# noqa: F401` lines excepted."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text, filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if "# noqa: F401" in lines[node.end_lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # names re-exported through __all__ count as used
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(elt.value for elt in node.value.elts
+                        if isinstance(elt, ast.Constant))
+    return sorted(f"line {line}: {name}" for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []

@@ -5,8 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fracmv.errors import EvaluationError
-from fracmv.quadrature import (adaptive_simpson, gauss_even_weight,
-                               gauss_legendre, integrate_ball_weighted)
+from fracmv.quadrature import (_ball_y_rule, adaptive_simpson,
+                               gauss_even_weight, gauss_legendre,
+                               integrate_ball_weighted)
 
 
 def test_gauss_legendre_polynomial_exactness():
@@ -97,6 +98,57 @@ def test_ball_weighted_error_shrinks_with_resolution():
     errs = [abs(integrate_ball_weighted(g, np.zeros(2), 1.0, 0.0, res) - target)
             for res in (16, 24, 32)]
     assert errs[2] < errs[1] < errs[0]
+
+
+def _ball_weighted_line_by_line(g, center, radius, a, resolution):
+    """Reference: one g call per line, slices summed from y = -R to R."""
+    n = center.size - 1
+    y, wy = _ball_y_rule(a, radius, resolution)
+    total = 0.0
+    for yk, wk in zip(np.concatenate([-y[::-1], y]),
+                      np.concatenate([wy[::-1], wy])):
+        s = np.sqrt(radius * radius - yk * yk)
+        x1 = gauss_legendre(resolution, (center[0] - s, center[0] + s))
+        if n == 1:
+            pts = np.column_stack([x1.nodes, np.full(resolution, yk)])
+            total += wk * float(x1.weights @ g(pts))
+            continue
+        slice_val = 0.0
+        for u, wu in zip(x1.nodes, x1.weights):
+            s2 = np.sqrt(s * s - (u - center[0]) ** 2)
+            x2 = gauss_legendre(resolution, (center[1] - s2, center[1] + s2))
+            pts = np.column_stack([np.full(resolution, u), x2.nodes,
+                                   np.full(resolution, yk)])
+            slice_val += wu * float(x2.weights @ g(pts))
+        total += wk * slice_val
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ball_weighted_pairs_mirrored_lines(n):
+    # each g call holds the line at -y and the line at +y, x columns equal,
+    # and the sum is the line-by-line one to the last bit
+    calls = []
+
+    def g(p):
+        calls.append(p.copy())
+        return np.exp(np.cos(3.0 * p[:, 0]) + 0.3 * p[:, -1])
+
+    center = np.zeros(n + 1)
+    center[0] = 0.2
+    value = integrate_ball_weighted(g, center, 0.7, 0.3, 12)
+    assert calls
+    for p in calls:
+        m = len(p) // 2
+        assert len(p) == 2 * m and m > 0
+        below, above = p[:m], p[m:]
+        assert np.array_equal(below[:, :-1], above[:, :-1])
+        y = above[0, -1]
+        assert y > 0.0
+        assert np.all(above[:, -1] == y) and np.all(below[:, -1] == -y)
+    if n == 1:
+        assert len(calls) == len({p[0, -1] for p in calls})
+    assert value == _ball_weighted_line_by_line(g, center, 0.7, 0.3, 12)
 
 
 def test_ball_weighted_propagates_nonfinite():
