@@ -16,7 +16,7 @@ import numpy as np
 
 from .fraclap import ScalarField
 from .kernel import RadialKernelTable, gradient_of_solution
-from .quadrature import angular_rule, unit_gauss
+from .quadrature import angular_rule, gauss_legendre
 
 __all__ = [
     "Domain",
@@ -270,17 +270,14 @@ def besov_seminorm(f: ScalarField, lam: float, p: float, window: float,
     if not p > 1.0:
         raise ValueError(f"p must exceed 1, got {p}")
     n = f.n
-    tg, wg = unit_gauss(6)
     dirs, ang_w = angular_rule(n, 16)
     xs, cell = _midpoint_grid(-half_width, 2.0 * half_width, grid, n)
     fvals = f(xs)
+    # the dyadic shells, taken from the window inward
+    hr_all, hw_all = gauss_legendre(6, window * 2.0 ** -np.arange(shells, -1.0, -1.0))
 
     shell_sums = []
-    hi = window
-    for _ in range(shells):
-        lo = hi / 2.0
-        hr = lo + (hi - lo) * tg
-        hw = (hi - lo) * wg
+    for hr, hw in zip(hr_all.reshape(shells, 6)[::-1], hw_all.reshape(shells, 6)[::-1]):
         total = 0.0
         for d, wa in zip(dirs, ang_w):
             for radius, wr in zip(hr, hw):
@@ -289,7 +286,6 @@ def besov_seminorm(f: ScalarField, lam: float, p: float, window: float,
                 total += wa * wr * radius ** (n - 1) \
                     * radius ** (-(n + lam * p)) * inner
         shell_sums.append(total)
-        hi = lo
 
     ratios = [shell_sums[i + 1] / shell_sums[i]
               for i in range(len(shell_sums) - 3, len(shell_sums) - 1)

@@ -82,10 +82,8 @@ class BumpProfile:
             hi = min(ti, SUPPORT_HI)
             if hi <= SUPPORT_LO:
                 continue
-            rule = gauss_legendre(60, (SUPPORT_LO, hi))
-            out[i] += self.kappa * float(
-                rule.weights @ (rule.nodes * eta_raw(rule.nodes))
-            )
+            u, w = gauss_legendre(60, (SUPPORT_LO, hi))
+            out[i] += self.kappa * float(w @ (u * eta_raw(u)))
         return float(out[0]) if scalar else out
 
     def psi(self, X):
@@ -115,10 +113,10 @@ def normalize(n: int, a: float) -> BumpProfile:
     if not -1.0 < a < 1.0:
         raise ValueError(f"a must lie in (-1, 1), got {a}")
 
-    rule = gauss_legendre(80, (SUPPORT_LO, SUPPORT_HI))
-    eta = eta_raw(rule.nodes)
+    u, w = gauss_legendre(80, (SUPPORT_LO, SUPPORT_HI))
+    eta = eta_raw(u)
     sphere = 2.0 * math.pi ** (n / 2.0) * math.gamma((a + 1.0) / 2.0) \
         / math.gamma((n + 1.0 + a) / 2.0)
-    kappa = float(1.0 / (sphere * (rule.weights @ (eta * rule.nodes ** (n + a)))))
-    A = float(kappa * (rule.weights @ (rule.nodes * eta)))
+    kappa = float(1.0 / (sphere * (w @ (eta * u ** (n + a)))))
+    A = float(kappa * (w @ (u * eta)))
     return BumpProfile(n=n, a=a, kappa=kappa, A=A)

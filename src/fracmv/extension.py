@@ -19,6 +19,8 @@ from .quadrature import angular_rule, gauss_legendre, sphere_area
 
 __all__ = ["ExtensionKernel", "poisson_constant", "extend", "reflected_extension"]
 
+RADIAL_NODES = 12  # Gauss nodes per panel of the radial rule
+
 
 def poisson_constant(n: int, a: float) -> float:
     """Normalizing constant C = Gamma((n+1-a)/2) / (pi^{n/2} Gamma((1-a)/2))."""
@@ -70,19 +72,12 @@ def _check_growth(f: ScalarField, s: float):
         f"integrable against (1+|x|)^-(n+2s) for s={s}")
 
 
-def _radial_rule(W: float, per_panel: int = 12):
+def _radial_rule(W: float):
     """Radial nodes/weights on (0, W): unit panels up to 1, then geometric."""
     breaks = [0.0, 0.5]
     while breaks[-1] < W:
         breaks.append(min(breaks[-1] * 2.0, W))
-    lo, hi = np.array(breaks[:-1]), np.array(breaks[1:])
-    # the reference rule on (-1, 1), mapped onto every panel at once
-    ref = gauss_legendre(per_panel, (-1.0, 1.0))
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = mid[:, None] + half[:, None] * ref.nodes[None, :]
-    weights = half[:, None] * ref.weights[None, :]
-    return nodes.ravel(), weights.ravel()
+    return gauss_legendre(RADIAL_NODES, breaks)
 
 
 def extend(k: ExtensionKernel, f: ScalarField, x, y: float, tol: float = 1e-8):

@@ -31,6 +31,10 @@ __all__ = [
     "FIELD_NAMES",
 ]
 
+SHELL_RADIAL = 48   # Jacobi nodes in |ybar| of the exterior shell rule
+SHELL_ANGULAR = 64  # directions of the shell rule (n = 2)
+EVAL_BLOCK = 1 << 20  # entries of one (rows, N) array of the field evaluator
+
 
 @dataclass(frozen=True)
 class Params:
@@ -109,15 +113,12 @@ def growth_class_check(f: ScalarField, s: float, n: int):
     breaks = [0.0, 1.0]
     while breaks[-1] < 1e4:
         breaks.append(min(breaks[-1] * 2.0, 1e4))
-    total = 0.0
+    t, wt = gauss_legendre(12, breaks)
     dirs, ang_w = angular_rule(n, 16)
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        rule = gauss_legendre(12, (lo, hi))
-        pts = rule.nodes[:, None, None] * dirs[None, :, :]
-        vals = np.abs(f(pts.reshape(-1, n))).reshape(len(rule.nodes), len(dirs))
-        radial = (vals * ang_w).sum(axis=1)
-        integrand = radial * rule.nodes ** (n - 1) / (1.0 + rule.nodes) ** (n + 2.0 * s)
-        total += float(rule.weights @ integrand)
+    pts = t[:, None, None] * dirs[None, :, :]
+    vals = np.abs(f(pts.reshape(-1, n))).reshape(len(t), len(dirs))
+    radial = (vals * ang_w).sum(axis=1)
+    total = float(wt @ (radial * t ** (n - 1) / (1.0 + t) ** (n + 2.0 * s)))
     if f.growth == "bounded":
         tail_ok = True
     else:
@@ -127,14 +128,6 @@ def growth_class_check(f: ScalarField, s: float, n: int):
         p = f.degree - 1.0 - 2.0 * s
         total += surf * f.scale * 1e4 ** (p + 1.0) / -(p + 1.0)
     return tail_ok, total
-
-
-def _direction_set(n: int, count: int = 16):
-    if n == 1:
-        return np.array([[1.0]]), np.array([2.0])
-    theta = np.linspace(0.0, math.pi, count, endpoint=False)
-    dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-    return dirs, np.full(count, 2.0 * math.pi / count)
 
 
 def frac_lap(f: ScalarField, x, s: float, tol: float = 1e-6) -> float:
@@ -148,10 +141,13 @@ def frac_lap(f: ScalarField, x, s: float, tol: float = 1e-6) -> float:
     x = np.asarray(x, dtype=float).reshape(-1)
     n = x.size
     fx = f(x)
-    dirs, ang_w = _direction_set(n)
+    # both ±z are formed explicitly, so directions cover a half sphere: the
+    # first half of the full rule, each direction weighted twice
+    dirs, ang_w = angular_rule(n, 32)
+    half = len(dirs) // 2
+    dirs, ang_w = dirs[:half], 2.0 * ang_w[:half]
     surf = ang_w.sum()
 
-    # both ±z are formed explicitly, so directions cover a half sphere
     def ring_sum(t_nodes):
         pts_p = x[None, None, :] + t_nodes[:, None, None] * dirs[None, :, :]
         pts_m = x[None, None, :] - t_nodes[:, None, None] * dirs[None, :, :]
@@ -208,10 +204,8 @@ def frac_lap(f: ScalarField, x, s: float, tol: float = 1e-6) -> float:
             if hi > lo:
                 extra.update(np.linspace(lo, hi, 17))
         breaks = sorted(set(breaks) | extra)
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        rule = gauss_legendre(10, (lo, hi))
-        total += float(rule.weights @ (ring_sum(rule.nodes)
-                                       * rule.nodes ** (-1.0 - 2.0 * s)))
+    t, wt = gauss_legendre(10, breaks)
+    total += float(wt @ (ring_sum(t) * t ** (-1.0 - 2.0 * s)))
     # analytic continuation of the -2 f(x) term beyond Z
     total += -2.0 * fx * surf * Z ** (-2.0 * s) / (2.0 * s)
     return -0.5 * total
@@ -250,15 +244,14 @@ def ball_poisson_kernel(x, ybar, r: float, s: float):
     return float(vals[0]) if single else vals
 
 
-def _shell_nodes(r: float, s: float, n: int, radial_count: int = 48,
-                 angular_count: int = 64):
+def _shell_nodes(r: float, s: float, n: int):
     """Quadrature nodes/weights on the shell r < |ybar| <= 4r.
 
     The weight (|ybar|^2 - r^2)^{-s} of the kernel is folded into the node
     weights through a Jacobi rule in t = |ybar|^2 - r^2.
     """
     T = 15.0 * r * r
-    u, w = roots_jacobi(radial_count, 0.0, -s)
+    u, w = roots_jacobi(SHELL_RADIAL, 0.0, -s)
     t = T * (1.0 + u) / 2.0
     wt = (T / 2.0) ** (1.0 - s) * w
     rho = np.sqrt(t + r * r)
@@ -268,14 +261,13 @@ def _shell_nodes(r: float, s: float, n: int, radial_count: int = 48,
         pts = np.concatenate([rho, -rho])[:, None]
         wq = np.concatenate([wrad, wrad])
     else:
-        dirs, ang_w = angular_rule(n, angular_count)
+        dirs, ang_w = angular_rule(n, SHELL_ANGULAR)
         pts = (rho[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
         wq = (wrad[:, None] * ang_w[None, :]).ravel()
     return pts, wq
 
 
-def sample_sharmonic(g, r: float, s: float, n: int, radial_count: int = 48,
-                     angular_count: int = 64) -> ScalarField:
+def sample_sharmonic(g, r: float, s: float, n: int) -> ScalarField:
     """Field equal to the ball Poisson integral of ``g`` inside B(0, r).
 
     ``g`` must be bounded with compact support in r < |ybar| <= 4r; outside
@@ -288,13 +280,15 @@ def sample_sharmonic(g, r: float, s: float, n: int, radial_count: int = 48,
     |x|^2 + |ybar|^2 - 2 x.ybar is avoided, because it cancels badly when x
     is close to the shell.
     """
-    pts, wq = _shell_nodes(r, s, n, radial_count, angular_count)
+    pts, wq = _shell_nodes(r, s, n)
     gvals = np.asarray(g(pts), dtype=float)
     if not np.all(np.isfinite(gvals)):
         raise FieldRejectedError("exterior data must be bounded on its support")
     c = _ball_poisson_normalizer(n, s)
     # (|ybar|^2-r^2)^{-s} is already folded into wq via the Jacobi weight
     coef = c * wq * gvals
+    # points per block of the evaluator, so its (rows, N) arrays stay small
+    rows = max(1, EVAL_BLOCK // len(pts))
 
     def evaluate(x):
         x = np.asarray(x, dtype=float).reshape(-1, n)
@@ -303,17 +297,19 @@ def sample_sharmonic(g, r: float, s: float, n: int, radial_count: int = 48,
         inside = rx < r
         if np.any(inside):
             xi = x[inside]
-            # |x - ybar|^n, built in place in one (m, N) array
-            dist_n = xi[:, :1] - pts[None, :, 0]
-            if n == 1:
-                np.abs(dist_n, out=dist_n)
-            else:
-                dist_n *= dist_n
-                dx2 = xi[:, 1:] - pts[None, :, 1]
-                dx2 *= dx2
-                dist_n += dx2
-            fac = (r * r - rx[inside] ** 2) ** s
-            out[inside] = fac * np.divide(coef, dist_n, out=dist_n).sum(axis=1)
+            sums = np.empty(len(xi))
+            for lo in range(0, len(xi), rows):
+                # |x - ybar|^n, built in place in one (rows, N) array
+                dist_n = xi[lo:lo + rows, :1] - pts[None, :, 0]
+                if n == 1:
+                    np.abs(dist_n, out=dist_n)
+                else:
+                    dist_n *= dist_n
+                    dx2 = xi[lo:lo + rows, 1:] - pts[None, :, 1]
+                    dx2 *= dx2
+                    dist_n += dx2
+                sums[lo:lo + rows] = np.divide(coef, dist_n, out=dist_n).sum(axis=1)
+            out[inside] = (r * r - rx[inside] ** 2) ** s * sums
         if np.any(~inside):
             out[~inside] = np.asarray(g(x[~inside]), dtype=float)
         return out
@@ -341,16 +337,19 @@ def _ball_poisson_field(n: int, s: float, r: float, seed: int) -> ScalarField:
     phase = rng.uniform(0.0, 2.0 * math.pi)
 
     if n == 1:
-        def g(y):
-            y = np.asarray(y, dtype=float).reshape(-1, 1)
-            rho = np.abs(y[:, 0])
-            return _shell_window(rho, r) * (a0 + a1 * np.sin(k * y[:, 0] / r + phase))
+        def angular(y):
+            return a0 + a1 * np.sin(k * y[:, 0] / r + phase)
     else:
-        def g(y):
-            y = np.asarray(y, dtype=float).reshape(-1, 2)
-            rho = np.linalg.norm(y, axis=1)
-            theta = np.arctan2(y[:, 1], y[:, 0])
-            return _shell_window(rho, r) * (a0 + a1 * np.cos(k * theta + phase))
+        def angular(y):
+            return a0 + a1 * np.cos(k * np.arctan2(y[:, 1], y[:, 0]) + phase)
+
+    def g(y):
+        y = np.asarray(y, dtype=float).reshape(-1, n)
+        out = _shell_window(np.linalg.norm(y, axis=1), r)
+        # the angular factor is positive, so only the window's support needs it
+        on = out > 0.0
+        out[on] *= angular(y[on])
+        return out
 
     fld = sample_sharmonic(g, r, s, n)
     fld.description = f"ball-poisson(n={n}, s={s}, seed={seed})"

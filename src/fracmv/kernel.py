@@ -13,6 +13,7 @@ n+2-a for Psi); one radial convolution engine gives Phi_r * f and grad f.
 from __future__ import annotations
 
 import ast
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +25,7 @@ from .errors import TableMismatchError, ToleranceError
 from .extension import ExtensionKernel
 from .fraclap import Params, ScalarField
 from .quadrature import (angular_rule, gauss_legendre, integrate_ball_weighted,
-                         sphere_area, unit_gauss)
+                         sphere_area)
 
 __all__ = [
     "RadialKernelTable",
@@ -55,6 +56,9 @@ DEFAULT_GRID = {
     "angular_nodes": 32,   # per-node Gauss count on the support arc (n = 2)
 }
 
+DIRECT_ANGULAR = 160        # directions of phi_direct's angular rule (n = 2)
+MAXIMAL_RESOLUTION = 64     # ball quadrature of the maximal-domination check
+
 
 def _y_rule(a: float, panels: int, per: int):
     """Nodes/weights for int_0^{3/4} y^a F(y) dy on dyadic panels toward 0.
@@ -62,18 +66,9 @@ def _y_rule(a: float, panels: int, per: int):
     Returns (nodes, weights, eps): the remainder on [0, eps) is handled
     analytically by the caller using F(0).
     """
-    t, w = unit_gauss(per)
-    nodes, weights = [], []
-    hi = SUPPORT_RADIUS
-    for _ in range(panels):
-        lo = hi / 2.0
-        y = lo + (hi - lo) * t
-        nodes.append(y)
-        weights.append((hi - lo) * w * y ** a)
-        hi = lo
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
-    return nodes, weights, hi
+    breaks = SUPPORT_RADIUS * 2.0 ** -np.arange(panels, -1.0, -1.0)
+    nodes, weights = gauss_legendre(per, breaks)
+    return nodes, weights * nodes ** a, breaks[0]
 
 
 def _radial_panels(lo: float, hi: float, h: float, per: int):
@@ -96,13 +91,7 @@ def _radial_panels(lo: float, hi: float, h: float, per: int):
         parts = max(1, math.ceil(width / 0.125))
         start = breaks[-1]
         breaks.extend(start + width * (j + 1) / parts for j in range(parts))
-    breaks = np.asarray(breaks)
-    t, w = unit_gauss(per)
-    lo_b = breaks[:-1]
-    width = np.diff(breaks)
-    nodes = (lo_b[:, None] + width[:, None] * t[None, :]).ravel()
-    weights = (width[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    return gauss_legendre(per, breaks)
 
 
 def _kernel_profile(profile: BumpProfile, k: ExtensionKernel, rho: float,
@@ -112,7 +101,7 @@ def _kernel_profile(profile: BumpProfile, k: ExtensionKernel, rho: float,
     kappa = profile.kappa
     ynodes, yweights, eps = _y_rule(a, grid["y_panels"], grid["y_nodes"])
     m = 0.5 * (n + 1.0 - a)
-    tg, wg = unit_gauss(grid["angular_nodes"])
+    tg, wg = gauss_legendre(grid["angular_nodes"], (0.0, 1.0))
 
     acc_phi = 0.0
     acc_psi = 0.0
@@ -170,8 +159,7 @@ def phi_pointwise(profile: BumpProfile, k: ExtensionKernel, x,
     return _kernel_profile(profile, k, rho, grid)[0]
 
 
-def phi_direct(profile: BumpProfile, k: ExtensionKernel, x,
-               angular: int = 160) -> float:
+def phi_direct(profile: BumpProfile, k: ExtensionKernel, x) -> float:
     """Kernel value by quadrature in absolute coordinates.
 
     Keeps the full vector geometry of the defining integral (no radial
@@ -183,7 +171,7 @@ def phi_direct(profile: BumpProfile, k: ExtensionKernel, x,
     ynodes, yweights, eps = _y_rule(a, 16, 16)
     m = 0.5 * (n + 1.0 - a)
     rho = float(np.linalg.norm(x))
-    dirs, ang_w = angular_rule(n, angular)
+    dirs, ang_w = angular_rule(n, DIRECT_ANGULAR)
 
     acc = 0.0
     for y, wy in zip(ynodes, yweights):
@@ -323,18 +311,6 @@ def _kink_crossings(x, r: float, d, kink_radii) -> list:
     return out
 
 
-def _rule_on_breaks(breaks: np.ndarray, extra=(), per: int = 8):
-    """Gauss nodes/weights on the panels, with extra break points inserted."""
-    if extra:
-        inside = [e for e in extra if breaks[0] < e < breaks[-1]]
-        if inside:
-            breaks = np.unique(np.concatenate([breaks, inside]))
-    t, w = unit_gauss(per)
-    nodes = (breaks[:-1, None] + np.diff(breaks)[:, None] * t[None, :]).ravel()
-    weights = (np.diff(breaks)[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
 def _convolve_radial(table: RadialKernelTable, kernel_of, tail_exponent: float,
                      f: ScalarField, x, r: float, tol: float, angular: int,
                      subtract: float = 0.0):
@@ -375,8 +351,9 @@ def _convolve_radial(table: RadialKernelTable, kernel_of, tail_exponent: float,
     dirs, ang_w = angular_rule(n, angular)
     parts = []
     for d, wa in zip(dirs, ang_w):
-        nodes, weights = _rule_on_breaks(
-            breaks, _kink_crossings(x, r, d, f.kink_radii))
+        # break the panels where the ray crosses a kink of f
+        kinks = [c for c in _kink_crossings(x, r, d, f.kink_radii) if c < W]
+        nodes, weights = gauss_legendre(8, np.unique(np.concatenate([breaks, kinks])))
         kern = kernel_of(nodes) * nodes ** (n - 1) * weights
         pts = x[None, :] - r * nodes[:, None] * d[None, :]
         parts.append(wa * float(kern @ (f(pts) - subtract)))
@@ -413,16 +390,20 @@ def gradient_of_solution(table: RadialKernelTable, f: ScalarField, x,
     return grad / r
 
 
-def psi_component(table: RadialKernelTable, x, i: int) -> float:
-    """Gradient component Psi^i(x) = Phi'(|x|) x_i / |x| (zero at the origin)."""
+def psi_component(table: RadialKernelTable, x, i: int):
+    """Gradient component Psi^i(x) = Phi'(|x|) x_i / |x| (zero at the origin).
+
+    ``x`` may be a single point or an array of shape (m, n).
+    """
     n = table.params.n
     if not 1 <= i <= n:
         raise ValueError(f"component index must be in 1..{n}, got {i}")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    rho = float(np.linalg.norm(x))
-    if rho == 0.0:
-        return 0.0
-    return table.psi_radial_of(rho) * x[i - 1] / rho
+    pts = np.asarray(x, dtype=float).reshape(-1, n)
+    rho = np.linalg.norm(pts, axis=1)
+    out = np.zeros(len(pts))
+    away = rho > 0.0
+    out[away] = table.psi_radial_of(rho[away]) * pts[away, i - 1] / rho[away]
+    return float(out[0]) if np.ndim(x) == 1 else out
 
 
 def extension_mean_value(profile: BumpProfile, v, x, r: float,
@@ -483,8 +464,8 @@ def _grad_psi_sup(table: RadialKernelTable, stride: int = 1) -> float:
     return float(np.max(d2 + ratio))
 
 
-def verify_kernel_properties(table: RadialKernelTable, fields=None,
-                             maximal_resolution: int = 64) -> PropertyReport:
+def verify_kernel_properties(table: RadialKernelTable,
+                             fields=None) -> PropertyReport:
     """Run the seven structural checks of the kernel and report constants."""
     from .analysis import BallFamily, hl_maximal  # deferred: avoids a cycle
     from .fraclap import make_field
@@ -524,7 +505,7 @@ def verify_kernel_properties(table: RadialKernelTable, fields=None,
         fields = [make_field("gaussian", n, table.params.s),
                   make_field("ball_poisson", n, table.params.s, seed=1)]
     family = BallFamily(r_min=1e-2, r_max=4.0, ratio=math.sqrt(2.0),
-                        resolution=maximal_resolution)
+                        resolution=MAXIMAL_RESOLUTION)
     cmax = 0.0
     for f in fields:
         for xi in (0.0, 0.3):
@@ -541,26 +522,15 @@ def verify_kernel_properties(table: RadialKernelTable, fields=None,
     psi0 = abs(table.psi_profile[0])
     checks.append(PropertyCheck("gradient_zero_at_origin", psi0 <= 1e-6,
                                 psi0, 1e-6))
-    if n == 1:
-        rule = gauss_legendre(400, (-table.rmax, table.rmax))
-        vals = np.array([psi_component(table, np.array([u]), 1)
-                         for u in rule.nodes])
-        integral = float(rule.weights @ vals)
-    else:
-        rule = gauss_legendre(120, (-table.rmax, table.rmax))
-        integral = 0.0
-        for u, wu in zip(rule.nodes, rule.weights):
-            pts2 = np.column_stack([np.full(rule.nodes.size, u), rule.nodes])
-            rho = np.linalg.norm(pts2, axis=1)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                vals = np.where(rho > 0,
-                                table.psi_radial_of(rho) * pts2[:, 0]
-                                / np.where(rho > 0, rho, 1.0), 0.0)
-            integral += wu * float(rule.weights @ vals)
+    # tensor-product rule on the cube [-rmax, rmax]^n
+    u, wu = gauss_legendre(400 if n == 1 else 120, (-table.rmax, table.rmax))
+    cube = np.stack(np.meshgrid(*[u] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    wcube = np.prod(np.meshgrid(*[wu] * n, indexing="ij"), axis=0).ravel()
+    integral = float(wcube @ psi_component(table, cube, 1))
     # fundamental-theorem consistency ties the independently computed radial
     # derivative back to Phi itself
-    rule = gauss_legendre(800, (0.0, table.rmax))
-    ftc = float(rule.weights @ table.psi_radial_of(rule.nodes)) \
+    u, wu = gauss_legendre(800, (0.0, table.rmax))
+    ftc = float(wu @ table.psi_radial_of(u)) \
         - (table.phi_of(table.rmax) - table.phi_of(0.0))
     measured = max(abs(integral), abs(ftc))
     checks.append(PropertyCheck("gradient_zero_mean", measured <= 1e-4,
@@ -584,8 +554,19 @@ def verify_kernel_properties(table: RadialKernelTable, fields=None,
     return PropertyReport(checks)
 
 
+DIGEST_KEY = b"sha256="
+
+
+def _seal(body: bytes) -> bytes:
+    """Last line of a table file: the SHA-256 of every byte above it."""
+    return DIGEST_KEY + hashlib.sha256(body).hexdigest().encode() + b"\n"
+
+
 def write_table(table: RadialKernelTable, path):
-    """Plain-text persistence; 17 significant digits, bit-exact round trip."""
+    """Plain-text persistence; 17 significant digits, bit-exact round trip.
+
+    The file ends with a digest line, so an edited or cut file is rejected.
+    """
     meta = ";".join(f"{k}:{v!r}" for k, v in sorted(table.build_meta.items()))
     lines = [
         f"n={table.params.n}",
@@ -598,22 +579,28 @@ def write_table(table: RadialKernelTable, path):
     ]
     for rho, phi, psi in zip(table.rho_grid, table.phi_values, table.psi_profile):
         lines.append(f"{rho:.17g},{phi:.17g},{psi:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    body = ("\n".join(lines) + "\n").encode()
+    with open(path, "wb") as fh:
+        fh.write(body + _seal(body))
 
 
 def read_table(path) -> RadialKernelTable:
     """Read a table written by ``write_table``.
 
-    A missing header key, a header value or row that does not parse, an
-    ``s`` other than (1 - a)/2, or a row count other than the header's
-    raises TableMismatchError.
+    A missing or wrong digest line, a missing header key, a header value or
+    row that does not parse, an ``s`` other than (1 - a)/2, or a row count
+    other than the header's raises TableMismatchError.
     """
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    body = data.rpartition(b"\n" + DIGEST_KEY)[0] + b"\n"
+    if data != body + _seal(body):
+        raise TableMismatchError(f"table {path} has a missing or wrong digest "
+                                 "line: it was edited or cut")
     header = {}
     rows = []
     try:
+        lines = [ln.strip() for ln in body.decode().splitlines() if ln.strip()]
         for ln in lines:
             if "=" in ln and not ln[0].isdigit() and not ln[0] == "-":
                 key, _, val = ln.partition("=")

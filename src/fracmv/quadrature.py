@@ -1,12 +1,11 @@
-"""Quadrature rules, including rules exact for the even weight |y|^a.
+"""Quadrature rules: composite Gauss-Legendre, angular, weighted ball.
 
-All rules are deterministic: the same arguments always produce bit-identical
-nodes and weights.  Evaluation over node sets is pure.
+Every rule is a plain (nodes, weights) pair of arrays, and the same
+arguments always produce bit-identical nodes and weights.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -15,42 +14,12 @@ from scipy.special import roots_jacobi
 from .errors import EvaluationError
 
 __all__ = [
-    "QuadratureRule",
     "gauss_legendre",
-    "gauss_even_weight",
     "integrate_ball_weighted",
     "adaptive_simpson",
     "sphere_area",
-    "unit_gauss",
     "angular_rule",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """A fixed quadrature rule on an interval.
-
-    ``weight_kind`` is ``"plain"`` (weight 1) or ``"even_power"`` (weight
-    |y|^exponent, symmetric interval).  Weights are positive and sum to the
-    integral of the weight function over the interval.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    interval: tuple[float, float]
-    weight_kind: str = "plain"
-    exponent: float = 0.0
-
-    def __post_init__(self):
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
-
-    def integrate(self, f) -> float:
-        values = np.asarray(f(self.nodes), dtype=float)
-        if not np.all(np.isfinite(values)):
-            bad = self.nodes[~np.isfinite(values)][0]
-            raise EvaluationError(bad)
-        return float(self.weights @ values)
 
 
 @lru_cache(maxsize=256)
@@ -69,13 +38,6 @@ def sphere_area(n: int) -> float:
     return 2.0 if n == 1 else 2.0 * math.pi
 
 
-@lru_cache(maxsize=64)
-def unit_gauss(count: int):
-    """Gauss-Legendre nodes and weights on [0, 1]."""
-    t, w = _leggauss(count)
-    return 0.5 * (t + 1.0), 0.5 * w
-
-
 def angular_rule(n: int, count: int):
     """Directions and weights of the full unit sphere S^{n-1}, n in {1, 2}.
 
@@ -90,44 +52,23 @@ def angular_rule(n: int, count: int):
     return dirs, np.full(count, 2.0 * math.pi / count)
 
 
-def gauss_legendre(count: int, interval: tuple[float, float]) -> QuadratureRule:
-    """Gauss-Legendre rule on ``interval``, exact for degree <= 2*count - 1."""
-    lo, hi = float(interval[0]), float(interval[1])
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if not hi > lo:
-        raise ValueError(f"interval must satisfy lo < hi, got ({lo}, {hi})")
-    t, w = _leggauss(count)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    return QuadratureRule(nodes=mid + half * t, weights=half * w, interval=(lo, hi))
+def gauss_legendre(count: int, breaks):
+    """Composite Gauss-Legendre rule on the panels between ``breaks``.
 
-
-def gauss_even_weight(count: int, a: float, Y: float) -> QuadratureRule:
-    """Rule for integrals against |y|^a on [-Y, Y].
-
-    Built from a Gauss-Jacobi rule on [0, Y] with weight y^a and symmetrized,
-    so that polynomials of degree <= 2*count - 1 are integrated exactly.
-    The weight is absorbed into the quadrature weights.
+    ``breaks`` holds at least two strictly increasing points; each panel
+    gets the ``count``-point rule, exact for degree <= 2*count - 1, mapped
+    from [-1, 1] as mid + half*t.  ``(lo, hi)`` gives the single rule.
+    Returns the flat arrays (nodes, weights), panel by panel.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if not -1.0 < a < 1.0:
-        raise ValueError(f"a must lie in (-1, 1), got {a}")
-    if not Y > 0:
-        raise ValueError(f"Y must be positive, got {Y}")
-    t, w = _jacgauss(count, a)
-    y = Y * (1.0 + t) / 2.0
-    wy = (Y / 2.0) ** (1.0 + a) * w
-    nodes = np.concatenate([-y[::-1], y])
-    weights = np.concatenate([wy[::-1], wy])
-    return QuadratureRule(
-        nodes=nodes,
-        weights=weights,
-        interval=(-Y, Y),
-        weight_kind="even_power",
-        exponent=a,
-    )
+    b = np.asarray(breaks, dtype=float)
+    if b.ndim != 1 or b.size < 2 or not np.all(b[1:] > b[:-1]):
+        raise ValueError(f"breaks must be 2 or more increasing points, got {breaks}")
+    t, w = _leggauss(count)
+    half = 0.5 * (b[1:] - b[:-1])
+    mid = 0.5 * (b[1:] + b[:-1])
+    return (mid[:, None] + half[:, None] * t).ravel(), (half[:, None] * w).ravel()
 
 
 def _ball_y_rule(a: float, radius: float, resolution: int):
@@ -142,9 +83,9 @@ def _ball_y_rule(a: float, radius: float, resolution: int):
     t, w = _jacgauss(half, a)
     y_in = 0.5 * radius * (1.0 + t) / 2.0
     w_in = (radius / 4.0) ** (1.0 + a) * w
-    phi = gauss_legendre(half, (np.arcsin(0.5), 0.5 * np.pi))
-    y_out = radius * np.sin(phi.nodes)
-    w_out = phi.weights * radius * np.cos(phi.nodes) * y_out ** a
+    phi, w_phi = gauss_legendre(half, (np.arcsin(0.5), 0.5 * np.pi))
+    y_out = radius * np.sin(phi)
+    w_out = w_phi * radius * np.cos(phi) * y_out ** a
     return np.concatenate([y_in, y_out]), np.concatenate([w_in, w_out])
 
 
@@ -189,18 +130,18 @@ def integrate_ball_weighted(g, center, radius: float, a: float, resolution: int)
         if s <= 0.0:
             continue
         s = np.sqrt(s)
-        x1 = gauss_legendre(resolution, (center[0] - s, center[0] + s))
+        x1, w1 = gauss_legendre(resolution, (center[0] - s, center[0] + s))
         if n == 1:
-            below[j], above[j] = mirrored_sums(x1.nodes[:, None], y, x1.weights)
+            below[j], above[j] = mirrored_sums(x1[:, None], y, w1)
         else:
-            for u, wu in zip(x1.nodes, x1.weights):
+            for u, wu in zip(x1, w1):
                 s2 = s * s - (u - center[0]) ** 2
                 if s2 <= 0.0:
                     continue
                 s2 = np.sqrt(s2)
-                x2 = gauss_legendre(resolution, (center[1] - s2, center[1] + s2))
-                xcols = np.column_stack([np.full(x2.nodes.size, u), x2.nodes])
-                lo, hi = mirrored_sums(xcols, y, x2.weights)
+                x2, w2 = gauss_legendre(resolution, (center[1] - s2, center[1] + s2))
+                xcols = np.column_stack([np.full(x2.size, u), x2])
+                lo, hi = mirrored_sums(xcols, y, w2)
                 below[j] += wu * lo
                 above[j] += wu * hi
     # accumulate the slices in the order of y from -R to R

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from fracmv.cli import main
@@ -11,6 +13,12 @@ grid.geo_points = 16
 grid.y_panels = 8
 grid.y_nodes = 8
 """
+
+
+def _sealed(text):
+    """Table text with its digest line replaced by one that matches."""
+    body = text.rpartition("sha256=")[0] if "\nsha256=" in text else text
+    return body + "sha256=" + hashlib.sha256(body.encode()).hexdigest() + "\n"
 
 
 @pytest.fixture(scope="session")
@@ -169,16 +177,16 @@ class TestIOErrors:
 class TestMalformedTable:
     def test_missing_header_key_exits_3(self, tmp_path):
         path = tmp_path / "truncated.txt"
-        path.write_text("n=1\na=0.0\n")
+        path.write_text(_sealed("n=1\na=0.0\n"))
         with pytest.raises(TableMismatchError):
             read_table(path)
         assert main(["mvp", "--table", str(path), "--out", str(tmp_path)]) == 3
 
     def test_non_numeric_row_exits_3(self, table_file, tmp_path):
         lines = open(table_file).read().splitlines()
-        lines[-1] = "16.0,oops,0.0"
+        lines[-2] = "16.0,oops,0.0"  # the last row, above the digest line
         path = tmp_path / "edited.txt"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(_sealed("\n".join(lines) + "\n"))
         with pytest.raises(TableMismatchError):
             read_table(path)
         assert main(["mvp", "--table", str(path), "--out", str(tmp_path)]) == 3
@@ -187,7 +195,7 @@ class TestMalformedTable:
         text = open(table_file).read().replace("\ns=0.5\n", "\ns=0.4\n", 1)
         assert "\ns=0.4\n" in text
         path = tmp_path / "edited_s.txt"
-        path.write_text(text)
+        path.write_text(_sealed(text))
         with pytest.raises(TableMismatchError):
             read_table(path)
         assert main(["mvp", "--table", str(path), "--out", str(tmp_path)]) == 3
@@ -196,8 +204,43 @@ class TestMalformedTable:
         text = open(table_file).read().replace(
             "built_with=", "built_with=probe:2**3;", 1)
         path = tmp_path / "meta.txt"
-        path.write_text(text)
+        path.write_text(_sealed(text))
         assert read_table(path).build_meta["probe"] == "2**3"
+
+    def test_resealed_copy_reads_back(self, table_file, tmp_path):
+        # the test helper writes the same digest line as write_table
+        text = open(table_file).read()
+        assert text.endswith("\n") and "\nsha256=" in text
+        assert _sealed(text) == text
+
+    @pytest.mark.parametrize("cut", [1, 2, 6, 65, 66, 67, 100, 5000])
+    def test_cut_table_exits_3(self, table_file, tmp_path, cut):
+        # a table cut anywhere, inside the digest line or above it, is
+        # rejected rather than read
+        data = open(table_file, "rb").read()
+        path = tmp_path / "cut.txt"
+        path.write_bytes(data[:-cut])
+        with pytest.raises(TableMismatchError, match="digest"):
+            read_table(path)
+        assert main(["mvp", "--table", str(path), "--out", str(tmp_path)]) == 3
+
+    def test_cut_last_row_digits_exits_3(self, table_file, tmp_path):
+        # the last row loses 6 digits but still parses as three numbers
+        lines = open(table_file).read().splitlines()
+        lines[-2] = lines[-2][:-6]
+        path = tmp_path / "cut_row.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TableMismatchError, match="digest"):
+            read_table(path)
+        assert main(["kernel", "verify", "--table", str(path),
+                     "--out", str(tmp_path)]) == 3
+
+    def test_table_without_digest_exits_3(self, table_file, tmp_path):
+        text = open(table_file).read()
+        path = tmp_path / "no_digest.txt"
+        path.write_text(text.rpartition("sha256=")[0])
+        with pytest.raises(TableMismatchError, match="digest"):
+            read_table(path)
 
 
 def test_config_file_comments_and_tolerances(table_file, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fracmv.fraclap
 from fracmv.fraclap import (FIELD_NAMES, Params, ScalarField,
                             _ball_poisson_normalizer, _shell_nodes,
                             ball_poisson_kernel, frac_lap, growth_class_check,
@@ -199,6 +200,16 @@ class TestSampleFields:
             np.testing.assert_array_equal(got, expected)
         else:
             assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_evaluator_blocks_match_one_block(self, n, monkeypatch):
+        # the evaluator works through large batches in blocks of rows; each
+        # row's sum does not depend on the block it is in
+        x = np.random.default_rng(11).uniform(-1.2, 1.2, (8000, n))
+        blocked = make_field("ball_poisson", n, 0.4, seed=3)(x)
+        monkeypatch.setattr(fracmv.fraclap, "EVAL_BLOCK", 1 << 40)
+        whole = make_field("ball_poisson", n, 0.4, seed=3)(x)
+        assert np.array_equal(blocked, whole)
 
     def test_growth_tag_consistent_with_samples(self):
         for name in ("constant", "gaussian", "ball_poisson"):

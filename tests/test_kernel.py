@@ -136,10 +136,29 @@ class TestPsiComponent:
                             rtol=1e-3, atol=1e-8)
 
     def test_zero_integral_on_line(self, table_n1_a0):
-        rule = gauss_legendre(400, (-table_n1_a0.rmax, table_n1_a0.rmax))
-        vals = np.array([psi_component(table_n1_a0, np.array([u]), 1)
-                         for u in rule.nodes])
-        assert abs(float(rule.weights @ vals)) < 1e-6
+        u, w = gauss_legendre(400, (-table_n1_a0.rmax, table_n1_a0.rmax))
+        vals = np.array([psi_component(table_n1_a0, np.array([x]), 1)
+                         for x in u])
+        assert abs(float(w @ vals)) < 1e-6
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_array_form_equals_point_calls(self, get_table, n):
+        table = get_table(n, 0.0)
+        rng = np.random.default_rng(3)
+        pts = np.concatenate([np.zeros((1, n)),
+                              rng.uniform(-20.0, 20.0, (40, n)),
+                              rng.uniform(-1.0, 1.0, (40, n))])
+        for i in range(1, n + 1):
+            got = psi_component(table, pts, i)
+            assert got.shape == (len(pts),) and got[0] == 0.0
+            want = [psi_component(table, p, i) for p in pts]
+            assert all(isinstance(v, float) for v in want)
+            assert np.array_equal(got, want)
+            # the single-point formula as it read before the array form
+            norms = [float(np.linalg.norm(p)) for p in pts[1:]]
+            old = [table.psi_radial_of(rho) * p[i - 1] / rho
+                   for p, rho in zip(pts[1:], norms)]
+            assert_allclose(got[1:], old, rtol=1e-14, atol=0.0)
 
 
 class TestExtensionMeanValue:

@@ -1,5 +1,6 @@
 """Module boundaries of the package source."""
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -51,3 +52,14 @@ def _unused_imports(path):
     ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_all_names_exist(path):
+    # a name left in __all__ after its definition was deleted breaks
+    # `from fracmv.x import *` and misleads readers
+    module = importlib.import_module(
+        "fracmv" if path.stem == "__init__" else f"fracmv.{path.stem}")
+    missing = [name for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert missing == []

@@ -5,32 +5,31 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fracmv.errors import EvaluationError
-from fracmv.quadrature import (_ball_y_rule, adaptive_simpson,
-                               gauss_even_weight, gauss_legendre,
+from fracmv.quadrature import (_ball_y_rule, adaptive_simpson, gauss_legendre,
                                integrate_ball_weighted)
 
 
 def test_gauss_legendre_polynomial_exactness():
-    rule = gauss_legendre(5, (0.0, 1.0))
-    assert_allclose(rule.integrate(lambda x: x ** 2), 1.0 / 3.0, rtol=1e-12)
+    x, w = gauss_legendre(5, (0.0, 1.0))
+    assert_allclose(w @ x ** 2, 1.0 / 3.0, rtol=1e-12)
 
 
 def test_gauss_legendre_weight_sum():
-    rule = gauss_legendre(2, (-1.0, 1.0))
-    assert_allclose(rule.weights.sum(), 2.0, rtol=1e-14)
+    _, w = gauss_legendre(2, (-1.0, 1.0))
+    assert_allclose(w.sum(), 2.0, rtol=1e-14)
 
 
 def test_gauss_legendre_exp_against_oracle():
-    rule = gauss_legendre(20, (0.0, 1.0))
+    x, w = gauss_legendre(20, (0.0, 1.0))
     oracle = adaptive_simpson(math.exp, 0.0, 1.0, 1e-13)
-    assert_allclose(rule.integrate(np.exp), oracle, rtol=1e-12)
+    assert_allclose(w @ np.exp(x), oracle, rtol=1e-12)
     assert_allclose(oracle, math.e - 1.0, rtol=1e-12)
 
 
 def test_gauss_legendre_nodes_sorted_inside():
-    rule = gauss_legendre(12, (2.0, 5.0))
-    assert np.all(np.diff(rule.nodes) > 0)
-    assert rule.nodes[0] > 2.0 and rule.nodes[-1] < 5.0
+    x, _ = gauss_legendre(12, (2.0, 5.0))
+    assert np.all(np.diff(x) > 0)
+    assert x[0] > 2.0 and x[-1] < 5.0
 
 
 @pytest.mark.parametrize("count,interval", [(0, (0, 1)), (3, (1, 1)), (3, (2, 1))])
@@ -39,30 +38,43 @@ def test_gauss_legendre_invalid(count, interval):
         gauss_legendre(count, interval)
 
 
-def test_even_weight_constant():
-    # integral of |y|^0.5 over [-1, 1] is 2/(1+a) = 4/3
-    rule = gauss_even_weight(6, 0.5, 1.0)
-    assert_allclose(rule.weights.sum(), 4.0 / 3.0, rtol=1e-13)
+@pytest.mark.parametrize("breaks", [
+    (0.0, 1.0, 1.0, 2.0),          # a zero-width panel
+    (0.0, 2.0, 1.0, 3.0),          # a decreasing step
+    (3.0, 2.0, 1.0),               # decreasing throughout
+    (0.0, float("nan"), 1.0),      # not comparable
+    (1.0,),                        # a single point
+    (),                            # no points
+    [[0.0, 1.0], [1.0, 2.0]],      # not one-dimensional
+])
+def test_gauss_legendre_rejects_bad_breaks(breaks):
+    with pytest.raises(ValueError):
+        gauss_legendre(4, breaks)
 
 
-@pytest.mark.parametrize("a", [-0.5, 0.0, 0.5, 0.9])
-def test_even_weight_odd_function_vanishes(a):
-    rule = gauss_even_weight(8, a, 1.0)
-    assert abs(rule.integrate(lambda y: y)) < 1e-14
+@pytest.mark.parametrize("count", [1, 7, 12])
+def test_composite_rule_is_concatenated_panel_rules(count):
+    # a composite rule equals its single-panel rules, bit for bit
+    breaks = [-3.0, -0.1, 0.0, 1e-3, 0.5, 2.0, 64.0, 3.0e17]
+    x, w = gauss_legendre(count, breaks)
+    panels = [gauss_legendre(count, (lo, hi)) for lo, hi in zip(breaks, breaks[1:])]
+    assert x.shape == w.shape == (count * (len(breaks) - 1),)
+    assert np.array_equal(x, np.concatenate([p[0] for p in panels]))
+    assert np.array_equal(w, np.concatenate([p[1] for p in panels]))
+    assert_allclose(w @ x, (breaks[-1] ** 2 - breaks[0] ** 2) / 2.0, rtol=1e-13)
 
 
-def test_even_weight_quadratic_closed_form():
+def test_ball_y_rule_weight_sum():
+    # the |y|^a rule of the ball slices, mirrored onto [-1, 1]: the integral
+    # of |y|^0.5 there is 2/(1+a) = 4/3
+    _, w = _ball_y_rule(0.5, 1.0, 24)
+    assert_allclose(2.0 * w.sum(), 4.0 / 3.0, rtol=1e-13)
+
+
+def test_ball_y_rule_quadratic_closed_form():
     a = -0.5
-    rule = gauss_even_weight(6, a, 1.0)
-    assert_allclose(rule.integrate(lambda y: y ** 2), 2.0 / (3.0 + a),
-                    rtol=1e-13)
-
-
-def test_even_weight_rejects_bad_exponent():
-    with pytest.raises(ValueError):
-        gauss_even_weight(6, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        gauss_even_weight(6, -1.2, 1.0)
+    y, w = _ball_y_rule(a, 1.0, 24)
+    assert_allclose(2.0 * (w @ y ** 2), 2.0 / (3.0 + a), rtol=1e-13)
 
 
 def test_ball_weighted_disk_area():
@@ -108,18 +120,18 @@ def _ball_weighted_line_by_line(g, center, radius, a, resolution):
     for yk, wk in zip(np.concatenate([-y[::-1], y]),
                       np.concatenate([wy[::-1], wy])):
         s = np.sqrt(radius * radius - yk * yk)
-        x1 = gauss_legendre(resolution, (center[0] - s, center[0] + s))
+        x1, w1 = gauss_legendre(resolution, (center[0] - s, center[0] + s))
         if n == 1:
-            pts = np.column_stack([x1.nodes, np.full(resolution, yk)])
-            total += wk * float(x1.weights @ g(pts))
+            pts = np.column_stack([x1, np.full(resolution, yk)])
+            total += wk * float(w1 @ g(pts))
             continue
         slice_val = 0.0
-        for u, wu in zip(x1.nodes, x1.weights):
+        for u, wu in zip(x1, w1):
             s2 = np.sqrt(s * s - (u - center[0]) ** 2)
-            x2 = gauss_legendre(resolution, (center[1] - s2, center[1] + s2))
-            pts = np.column_stack([np.full(resolution, u), x2.nodes,
+            x2, w2 = gauss_legendre(resolution, (center[1] - s2, center[1] + s2))
+            pts = np.column_stack([np.full(resolution, u), x2,
                                    np.full(resolution, yk)])
-            slice_val += wu * float(x2.weights @ g(pts))
+            slice_val += wu * float(w2 @ g(pts))
         total += wk * slice_val
     return total
 
@@ -162,7 +174,8 @@ def test_ball_weighted_propagates_nonfinite():
 
 
 def test_rules_are_deterministic():
-    r1 = gauss_even_weight(9, 0.3, 2.0)
-    r2 = gauss_even_weight(9, 0.3, 2.0)
-    assert np.array_equal(r1.nodes, r2.nodes)
-    assert np.array_equal(r1.weights, r2.weights)
+    breaks = np.array([0.0, 0.3, 1.0, 2.0, 4.0])
+    x1, w1 = gauss_legendre(9, breaks)
+    x2, w2 = gauss_legendre(9, list(breaks))
+    assert np.array_equal(x1, x2)
+    assert np.array_equal(w1, w2)
