@@ -14,16 +14,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .bump import eta_raw
 from .errors import FieldRejectedError, ToleranceError
-from .quadrature import angular_rule, gauss_legendre, sphere_area
+from .quadrature import angular_rule, gauss_jacobi, gauss_legendre
 
 __all__ = [
     "Params",
     "ScalarField",
-    "growth_class_check",
     "frac_lap",
     "ball_poisson_kernel",
     "sample_sharmonic",
@@ -100,34 +98,6 @@ class ScalarField:
         if self.growth == "bounded":
             return self.scale
         return self.scale * (1.0 + radius) ** self.degree
-
-
-def growth_class_check(f: ScalarField, s: float, n: int):
-    """Check integrability of |f(x)| / (1+|x|)^{n+2s}.
-
-    Returns (ok, measured) where ``measured`` estimates the integral over
-    |x| <= 1e4 by radial quadrature; the tail beyond is bounded using the
-    declared growth envelope and is finite iff degree < 2s.
-    """
-    surf = sphere_area(n)
-    breaks = [0.0, 1.0]
-    while breaks[-1] < 1e4:
-        breaks.append(min(breaks[-1] * 2.0, 1e4))
-    t, wt = gauss_legendre(12, breaks)
-    dirs, ang_w = angular_rule(n, 16)
-    pts = t[:, None, None] * dirs[None, :, :]
-    vals = np.abs(f(pts.reshape(-1, n))).reshape(len(t), len(dirs))
-    radial = (vals * ang_w).sum(axis=1)
-    total = float(wt @ (radial * t ** (n - 1) / (1.0 + t) ** (n + 2.0 * s)))
-    if f.growth == "bounded":
-        tail_ok = True
-    else:
-        tail_ok = f.degree < 2.0 * s
-    if tail_ok:
-        # declared-envelope tail; exponent n-1+degree-(n+2s) < -1 when finite
-        p = f.degree - 1.0 - 2.0 * s
-        total += surf * f.scale * 1e4 ** (p + 1.0) / -(p + 1.0)
-    return tail_ok, total
 
 
 def frac_lap(f: ScalarField, x, s: float, tol: float = 1e-6) -> float:
@@ -250,10 +220,7 @@ def _shell_nodes(r: float, s: float, n: int):
     The weight (|ybar|^2 - r^2)^{-s} of the kernel is folded into the node
     weights through a Jacobi rule in t = |ybar|^2 - r^2.
     """
-    T = 15.0 * r * r
-    u, w = roots_jacobi(SHELL_RADIAL, 0.0, -s)
-    t = T * (1.0 + u) / 2.0
-    wt = (T / 2.0) ** (1.0 - s) * w
+    t, wt = gauss_jacobi(SHELL_RADIAL, -s, 15.0 * r * r)
     rho = np.sqrt(t + r * r)
     # int_r^{4r} h(rho) rho^{n-1} (rho^2-r^2)^{-s} drho in the t variable
     wrad = wt * rho ** (n - 1) / (2.0 * rho)

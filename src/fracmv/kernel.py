@@ -3,12 +3,21 @@
 The kernel is the weighted double integral of the bump profile against the
 extension Poisson kernel,
 
-    Phi(x) = int_y int_z phi(z, y) P_|y|(x - z) |y|^a dz dy,
+    Phi(x) = int_y int_z phi(z, y) P_|y|(x - z) |y|^a dz dy.
 
-and its radial derivative gives the gradient components
+Since P_|y|(x - z) |y|^a = C |y| |X - Z|^(a-n-1) with X = (x, 0) and
+phi = kappa eta(|Z|) is radial, writing Z = r omega and integrating over
+the sphere of radius r by the distance d = |X - Z| leaves one integral in
+d of an inner integral in r (see ``_radial_profile``):
+
+    Phi(rho) = (2 C kappa / rho^n) int_0^{rho+3/4} d^(a-n) G(d) dd.
+
+Its radial derivative gives the gradient components
 Psi^i(x) = Phi'(|x|) x_i / |x|.  Both are tabulated on a radial grid and
 continued beyond the grid by their power-law tails (exponent n+1-a for Phi,
 n+2-a for Psi); one radial convolution engine gives Phi_r * f and grad f.
+``phi_direct`` keeps the full vector geometry of the double integral and
+serves as the independent check of the table.
 """
 from __future__ import annotations
 
@@ -20,16 +29,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .bump import BumpProfile, eta_raw, eta_raw_prime, normalize
+from .bump import SUPPORT_LO, BumpProfile, eta_raw, eta_raw_prime, normalize
 from .errors import TableMismatchError, ToleranceError
 from .extension import ExtensionKernel
 from .fraclap import Params, ScalarField
-from .quadrature import (angular_rule, gauss_legendre, integrate_ball_weighted,
-                         sphere_area)
+from .quadrature import (angular_rule, gauss_jacobi, gauss_legendre,
+                         integrate_ball_weighted, sphere_area)
 
 __all__ = [
     "RadialKernelTable",
-    "phi_pointwise",
     "phi_direct",
     "build_table",
     "phi_r_convolve",
@@ -50,11 +58,11 @@ DEFAULT_GRID = {
     "dense_points": 257,   # uniform nodes on [0, 2]
     "geo_points": 128,     # geometric nodes on (2, rmax]
     "rmax": 16.0,
-    "y_panels": 16,        # dyadic panels toward y = 0
-    "y_nodes": 14,
-    "radial_nodes": 8,     # per radial panel of the inner integral
-    "angular_nodes": 32,   # per-node Gauss count on the support arc (n = 2)
 }
+
+D_JACOBI = 32   # Gauss-Jacobi nodes of the first distance panel (weight d^a)
+D_NODES = 64    # Gauss-Legendre nodes of every other distance panel
+R_NODES = 64    # Gauss-Legendre nodes of the inner r-integral
 
 DIRECT_ANGULAR = 160        # directions of phi_direct's angular rule (n = 2)
 MAXIMAL_RESOLUTION = 64     # ball quadrature of the maximal-domination check
@@ -94,69 +102,55 @@ def _radial_panels(lo: float, hi: float, h: float, per: int):
     return gauss_legendre(per, breaks)
 
 
-def _kernel_profile(profile: BumpProfile, k: ExtensionKernel, rho: float,
-                    grid: dict) -> tuple[float, float]:
-    """(Phi(rho), Phi'(rho)) by the layered radial quadrature."""
-    n, a, C = profile.n, profile.a, k.C
-    kappa = profile.kappa
-    ynodes, yweights, eps = _y_rule(a, grid["y_panels"], grid["y_nodes"])
-    m = 0.5 * (n + 1.0 - a)
-    tg, wg = gauss_legendre(grid["angular_nodes"], (0.0, 1.0))
+def _radial_profile(profile: BumpProfile, C: float, rho: float, g) -> float:
+    """Phi_g(rho) for rho > 0 by the one-dimensional distance form.
 
-    acc_phi = 0.0
-    acc_psi = 0.0
-    for y, wy in zip(ynodes, yweights):
-        s2 = SUPPORT_RADIUS ** 2 - y * y
-        if s2 <= 0.0:
-            continue
-        s_y = math.sqrt(s2)
-        lo, hi = max(0.0, rho - s_y), rho + s_y
-        u, wu = _radial_panels(lo, hi, y, grid["radial_nodes"])
-        pker = C * y ** (1.0 - a) * (u * u + y * y) ** -m
-        if n == 1:
-            z_lo, z_hi = rho - u, rho + u
-            r_lo = np.sqrt(z_lo * z_lo + y * y)
-            r_hi = np.sqrt(z_hi * z_hi + y * y)
-            sphi = eta_raw(r_lo) + eta_raw(r_hi)
-            spsi = eta_raw_prime(r_lo) * z_lo / r_lo \
-                + eta_raw_prime(r_hi) * z_hi / r_hi
-            radw = wu * pker
-        else:
-            ru = rho * u
-            sin2 = s2 - (rho - u) ** 2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sin2 = np.where(ru > 1e-300, sin2 / (4.0 * ru), 1.0)
-            amax = 2.0 * np.arcsin(np.sqrt(np.clip(sin2, 0.0, 1.0)))
-            alpha = amax[:, None] * tg[None, :]
-            d2 = (rho - u)[:, None] ** 2 \
-                + 4.0 * ru[:, None] * np.sin(alpha / 2.0) ** 2
-            z1 = rho - u[:, None] * np.cos(alpha)
-            R = np.sqrt(d2 + y * y)
-            sphi = 2.0 * amax * (eta_raw(R) * wg[None, :]).sum(axis=1)
-            spsi = 2.0 * amax * (eta_raw_prime(R) * z1 / R
-                                 * wg[None, :]).sum(axis=1)
-            radw = wu * u * pker
-        acc_phi += wy * float(radw @ sphi)
-        acc_psi += wy * float(radw @ spsi)
+    Phi_g(rho) = (2 C kappa / rho^n) int_0^{rho+3/4} d^(a-n) G_g(d) dd with
+    G_g(d) = int g(r) r Q^((n-1)/2) dr over max(|rho-d|, 1/4) < r <
+    min(rho+d, 3/4) and Q = (d^2 - (r-rho)^2)((r+rho)^2 - d^2).  The
+    d-panels break where an end of the r-range changes; the first one folds
+    the weight d^a into a Gauss-Jacobi rule, and r = mid - half*cos(theta)
+    removes the square-root end points of Q^(1/2).
+    """
+    n, a = profile.n, profile.a
+    ends = np.array([abs(rho - SUPPORT_LO), abs(rho - SUPPORT_RADIUS),
+                     rho + SUPPORT_LO, rho + SUPPORT_RADIUS])
+    breaks = np.unique(ends[ends > 0.0])
+    d_first, w_first = gauss_jacobi(D_JACOBI, a, breaks[0])
+    d_rest, w_rest = gauss_legendre(D_NODES, breaks)
+    d = np.concatenate([d_first, d_rest])
+    w = np.concatenate([w_first, w_rest * d_rest ** a])
 
-    # analytic remainder of the y-integral on [0, eps): the inner convolution
-    # tends to the profile itself as y -> 0
-    rem = eps ** (1.0 + a) / (1.0 + a)
-    phi0 = eta_raw(rho)
-    psi0 = eta_raw_prime(rho)
-    phi = 2.0 * kappa * (acc_phi + rem * phi0)
-    psi = 2.0 * kappa * (acc_psi + rem * psi0)
-    return phi, psi
+    theta, w_theta = gauss_legendre(R_NODES, (0.0, math.pi))
+    lo = np.maximum(np.abs(rho - d), SUPPORT_LO)
+    hi = np.minimum(rho + d, SUPPORT_RADIUS)
+    half = 0.5 * np.maximum(hi - lo, 0.0)[:, None]  # 0 where the range is empty
+    r = 0.5 * (hi + lo)[:, None] - half * np.cos(theta)
+    vals = g(r) * r * (half * np.sin(theta) * w_theta)
+    if n == 2:
+        e = r - rho
+        dc = d[:, None]
+        q = (dc - e) * (dc + e) * (r + rho - dc) * (r + rho + dc)
+        vals *= np.sqrt(np.maximum(q, 0.0))
+    G = vals.sum(axis=1)
+    return 2.0 * C * profile.kappa / rho ** n * float(w @ (G / d ** n))
 
 
-def phi_pointwise(profile: BumpProfile, k: ExtensionKernel, x,
-                  grid: dict | None = None) -> float:
-    """Kernel value at a point, computed from scratch (no table)."""
-    if (profile.n, profile.a) != (k.n, k.a):
-        raise TableMismatchError("profile and extension kernel disagree on (n, a)")
-    grid = {**DEFAULT_GRID, **(grid or {})}
-    rho = float(np.linalg.norm(np.asarray(x, dtype=float)))
-    return _kernel_profile(profile, k, rho, grid)[0]
+def _kernel_values(profile: BumpProfile, C: float, rho: float):
+    """(Phi(rho), Phi'(rho)) from the distance form.
+
+    Phi' = ((1 + a) Phi_eta + Phi_{r eta'}) / rho follows from the scaling
+    of Phi(rho) = kappa int eta(r) r^a h(rho/r) dr.  At rho = 0,
+    Phi(0) = c_n C kappa int eta(r) r^a dr with c_n = int_{S^n} |omega_y|,
+    and Phi'(0) = 0.
+    """
+    if rho == 0.0:
+        u, w = gauss_legendre(R_NODES, (SUPPORT_LO, SUPPORT_RADIUS))
+        c_n = 4.0 if profile.n == 1 else 2.0 * math.pi
+        return c_n * C * profile.kappa * float(w @ (eta_raw(u) * u ** profile.a)), 0.0
+    phi = _radial_profile(profile, C, rho, eta_raw)
+    moment = _radial_profile(profile, C, rho, lambda r: r * eta_raw_prime(r))
+    return phi, ((1.0 + profile.a) * phi + moment) / rho
 
 
 def phi_direct(profile: BumpProfile, k: ExtensionKernel, x) -> float:
@@ -249,10 +243,17 @@ class RadialKernelTable:
 
 
 def build_table(params: Params, grid_spec: dict | None = None) -> RadialKernelTable:
-    """Tabulate the kernel on a dense-plus-geometric radial grid."""
+    """Tabulate the kernel on a dense-plus-geometric radial grid.
+
+    ``grid_spec`` overrides entries of DEFAULT_GRID; any other key raises
+    ValueError.
+    """
+    unknown = sorted(set(grid_spec or {}) - set(DEFAULT_GRID))
+    if unknown:
+        raise ValueError(f"unknown grid keys {unknown}; known: {sorted(DEFAULT_GRID)}")
     grid = {**DEFAULT_GRID, **(grid_spec or {})}
     profile = normalize(params.n, params.a)
-    k = ExtensionKernel.create(params.n, params.a)
+    C = ExtensionKernel.create(params.n, params.a).C
     dense = np.linspace(0.0, 2.0, grid["dense_points"])
     geo = 2.0 * (grid["rmax"] / 2.0) ** (
         np.arange(1, grid["geo_points"] + 1) / grid["geo_points"])
@@ -260,7 +261,7 @@ def build_table(params: Params, grid_spec: dict | None = None) -> RadialKernelTa
     phi = np.empty_like(rho_grid)
     psi = np.empty_like(rho_grid)
     for i, rho in enumerate(rho_grid):
-        phi[i], psi[i] = _kernel_profile(profile, k, float(rho), grid)
+        phi[i], psi[i] = _kernel_values(profile, C, float(rho))
         if not (np.isfinite(phi[i]) and np.isfinite(psi[i])):
             raise ToleranceError(f"kernel evaluation failed at rho={rho}",
                                  math.inf, 0.0)

@@ -260,7 +260,7 @@ def test_criterion_8_weighted_besov_family(get_table):
 
 def test_criterion_9_determinism_and_persistence(get_table, tmp_path):
     failures = []
-    coarse = {"dense_points": 33, "geo_points": 16, "y_panels": 8, "y_nodes": 8}
+    coarse = {"dense_points": 33, "geo_points": 16}
     for n, a in FULL_MATRIX:
         params = Params.from_a(n, a)
         pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"

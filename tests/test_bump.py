@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fracmv.bump import eta_raw, eta_raw_prime, normalize
-from fracmv.quadrature import adaptive_simpson, integrate_ball_weighted
+from fracmv.bump import SUPPORT_HI, SUPPORT_LO, eta_raw, eta_raw_prime, normalize
+from fracmv.quadrature import (adaptive_simpson, gauss_legendre,
+                               integrate_ball_weighted)
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.2, 0.25, 0.75, 0.9, 3.0])
@@ -85,6 +86,23 @@ def test_zeta_nondecreasing(get_profile):
     ts = np.linspace(0.0, 1.0, 41)
     vals = prof.zeta(ts)
     assert np.all(np.diff(vals) >= -1e-14)
+
+
+@pytest.mark.parametrize("n,a", [(1, 0.0), (2, -0.5)])
+def test_zeta_array_matches_per_point_rule(get_profile, n, a):
+    # reference: the 60-node rule on (1/4, min(t, 3/4)), one t at a time;
+    # the array form sums the same products in another order, so it agrees
+    # within 1e-15 of A, the scale of zeta
+    prof = get_profile(n, a)
+    ts = np.concatenate([np.linspace(0.0, 1.0, 201), [0.25, 0.75, 2.0]])
+    loop = np.full(ts.shape, -prof.A)
+    for i, t in enumerate(ts):
+        hi = min(t, SUPPORT_HI)
+        if hi > SUPPORT_LO:
+            u, w = gauss_legendre(60, (SUPPORT_LO, hi))
+            loop[i] += prof.kappa * float(w @ (u * eta_raw(u)))
+    assert_allclose(prof.zeta(ts), loop, rtol=0.0, atol=1e-15 * prof.A)
+    assert prof.zeta(0.5) == prof.zeta(np.array([0.5]))[0]
 
 
 def test_grad_psi_zero_cases(get_profile):

@@ -10,8 +10,6 @@ COARSE = """\
 # coarse build grid, keeps the table cheap for CLI tests
 grid.dense_points = 33
 grid.geo_points = 16
-grid.y_panels = 8
-grid.y_nodes = 8
 """
 
 
@@ -143,6 +141,7 @@ class TestUsageErrors:
         "grid.rmax = inf",
         "grid.dense_points = 1",
         "grid.geo_points = 0",
+        # keys that DEFAULT_GRID no longer has exit 2 as unknown keys
         "grid.y_panels = 0",
         "grid.y_nodes = 0",
         "grid.radial_nodes = -1",

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 import fracmv.fraclap
 from fracmv.fraclap import (FIELD_NAMES, Params, ScalarField,
                             _ball_poisson_normalizer, _shell_nodes,
-                            ball_poisson_kernel, frac_lap, growth_class_check,
+                            ball_poisson_kernel, frac_lap,
                             make_field, sample_sharmonic)
 from fracmv.quadrature import adaptive_simpson
 
@@ -33,20 +33,6 @@ class TestParams:
         # 1,036 of these failed an exact 2s + a == 1 check when s was stored
         for a in np.linspace(-0.999, 0.999, 9981):
             assert 0.0 < Params.from_a(1, float(a)).s < 1.0
-
-
-class TestGrowthClass:
-    def test_constant_ok(self):
-        ok, measured = growth_class_check(make_field("constant", 1, 0.5), 0.5, 1)
-        assert ok and np.isfinite(measured)
-
-    def test_affine_ok_large_s(self):
-        ok, _ = growth_class_check(make_field("affine", 1, 0.75), 0.75, 1)
-        assert ok
-
-    def test_affine_fails_small_s(self):
-        ok, _ = growth_class_check(make_field("affine", 1, 0.75), 0.4, 1)
-        assert not ok
 
 
 class TestFracLap:

@@ -7,10 +7,10 @@ from numpy.testing import assert_allclose
 from fracmv.errors import TableMismatchError
 from fracmv.extension import ExtensionKernel
 from fracmv.fraclap import Params, make_field
-from fracmv.kernel import (SUPPORT_RADIUS, build_table, extension_mean_value,
-                           phi_direct,
-                           phi_pointwise, phi_r_convolve, psi_component,
-                           read_table, verify_kernel_properties, write_table)
+from fracmv.kernel import (DEFAULT_GRID, SUPPORT_RADIUS, build_table,
+                           extension_mean_value, phi_direct, phi_r_convolve,
+                           psi_component, read_table, verify_kernel_properties,
+                           write_table)
 from fracmv.quadrature import gauss_legendre
 
 
@@ -30,12 +30,20 @@ class TestTableStructure:
     def test_build_meta_records_mass_residual(self, table_n1_a0):
         assert table_n1_a0.build_meta["mass_residual"] < 1e-4
 
-    def test_interpolant_matches_pointwise(self, table_n1_a0, get_profile):
-        prof = get_profile(1, 0.0)
-        k = ExtensionKernel.create(1, 0.0)
-        for rho in (0.137, 0.8121, 1.93, 5.5):
-            direct = phi_pointwise(prof, k, np.array([rho]))
-            assert_allclose(table_n1_a0.phi_of(rho), direct, rtol=1e-5)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_table_matches_phi_direct(self, get_table, n):
+        # phi_direct keeps the vector geometry of the defining double
+        # integral, so it checks the distance form independently; beyond
+        # rho = 1 its own angular rule drifts (n = 2: 2.5e-7 at rho = 1.5,
+        # 8e-6 at 1.93), so the nodes stop at 0.8125
+        t = get_table(n, 0.0)
+        k = ExtensionKernel.create(n, 0.0)
+        for i in (0, 16, 32, 48, 64, 80, 96, 104):
+            rho = t.rho_grid[i]
+            x = np.zeros(n)
+            x[0] = rho
+            assert_allclose(t.phi_values[i], phi_direct(t.profile, k, x),
+                            rtol=5e-8, err_msg=f"rho={rho}")
 
     def test_tail_extension_continuous_at_grid_edge(self, table_n1_a0):
         t = table_n1_a0
@@ -53,12 +61,6 @@ class TestTableStructure:
         t = table_n1_a0
         ratio = t.psi_radial_of(40.0) / t.psi_radial_of(20.0)
         assert_allclose(ratio, 2.0 ** -3.0, rtol=1e-2)
-
-    def test_pointwise_rejects_mismatched_inputs(self, get_profile):
-        prof = get_profile(1, 0.0)
-        k = ExtensionKernel.create(1, 0.5)
-        with pytest.raises(TableMismatchError):
-            phi_pointwise(prof, k, np.array([0.5]))
 
 
 class TestRotationalSymmetry:
@@ -225,7 +227,14 @@ def test_build_table_small_grid_is_consistent():
     # a deliberately coarse build keeps this standalone test fast; the result
     # only needs to be in the right ballpark of the cached production table
     params = Params.from_a(1, 0.0)
-    small = build_table(params, {"dense_points": 33, "geo_points": 16,
-                                 "y_panels": 8, "y_nodes": 8})
+    small = build_table(params, {"dense_points": 33, "geo_points": 16})
     assert_allclose(small.mass(), 1.0, atol=5e-3)
     assert small.phi_of(0.0) > small.phi_of(1.0) > small.phi_of(4.0) > 0.0
+
+
+@pytest.mark.parametrize("key", ["y_panels", "bogus"])
+def test_build_table_rejects_unknown_grid_key(key):
+    # an unused key would otherwise land in the table's built_with line
+    with pytest.raises(ValueError, match=key):
+        build_table(Params.from_a(1, 0.0), {"dense_points": 33, key: 8})
+    assert set(DEFAULT_GRID) == {"dense_points", "geo_points", "rmax"}

@@ -63,3 +63,17 @@ def test_all_names_exist(path):
     missing = [name for name in getattr(module, "__all__", ())
                if not hasattr(module, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_gauss_rules_built_in_quadrature_only(path):
+    # every Gauss-Legendre and Gauss-Jacobi rule comes from quadrature.py,
+    # which maps and caches them in one place
+    if path.name == "quadrature.py":
+        return
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert names.isdisjoint({"roots_jacobi", "leggauss"})
