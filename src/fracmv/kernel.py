@@ -102,15 +102,16 @@ def _radial_panels(lo: float, hi: float, h: float, per: int):
     return gauss_legendre(per, breaks)
 
 
-def _radial_profile(profile: BumpProfile, C: float, rho: float, g) -> float:
-    """Phi_g(rho) for rho > 0 by the one-dimensional distance form.
+def _radial_profile(profile: BumpProfile, C: float, rho: float):
+    """(Phi_eta(rho), Phi_{r eta'}(rho)) for rho > 0 by the distance form.
 
     Phi_g(rho) = (2 C kappa / rho^n) int_0^{rho+3/4} d^(a-n) G_g(d) dd with
     G_g(d) = int g(r) r Q^((n-1)/2) dr over max(|rho-d|, 1/4) < r <
     min(rho+d, 3/4) and Q = (d^2 - (r-rho)^2)((r+rho)^2 - d^2).  The
     d-panels break where an end of the r-range changes; the first one folds
     the weight d^a into a Gauss-Jacobi rule, and r = mid - half*cos(theta)
-    removes the square-root end points of Q^(1/2).
+    removes the square-root end points of Q^(1/2).  Both profiles g = eta
+    and g = r eta' share one (d, theta) grid.
     """
     n, a = profile.n, profile.a
     ends = np.array([abs(rho - SUPPORT_LO), abs(rho - SUPPORT_RADIUS),
@@ -126,14 +127,17 @@ def _radial_profile(profile: BumpProfile, C: float, rho: float, g) -> float:
     hi = np.minimum(rho + d, SUPPORT_RADIUS)
     half = 0.5 * np.maximum(hi - lo, 0.0)[:, None]  # 0 where the range is empty
     r = 0.5 * (hi + lo)[:, None] - half * np.cos(theta)
-    vals = g(r) * r * (half * np.sin(theta) * w_theta)
+    arc = half * np.sin(theta) * w_theta
+    vals = (eta_raw(r) * r * arc, r * eta_raw_prime(r) * r * arc)
     if n == 2:
         e = r - rho
         dc = d[:, None]
         q = (dc - e) * (dc + e) * (r + rho - dc) * (r + rho + dc)
-        vals *= np.sqrt(np.maximum(q, 0.0))
-    G = vals.sum(axis=1)
-    return 2.0 * C * profile.kappa / rho ** n * float(w @ (G / d ** n))
+        root = np.sqrt(np.maximum(q, 0.0))
+        for v in vals:
+            v *= root
+    scale = 2.0 * C * profile.kappa / rho ** n
+    return tuple(scale * float(w @ (v.sum(axis=1) / d ** n)) for v in vals)
 
 
 def _kernel_values(profile: BumpProfile, C: float, rho: float):
@@ -148,8 +152,7 @@ def _kernel_values(profile: BumpProfile, C: float, rho: float):
         u, w = gauss_legendre(R_NODES, (SUPPORT_LO, SUPPORT_RADIUS))
         c_n = 4.0 if profile.n == 1 else 2.0 * math.pi
         return c_n * C * profile.kappa * float(w @ (eta_raw(u) * u ** profile.a)), 0.0
-    phi = _radial_profile(profile, C, rho, eta_raw)
-    moment = _radial_profile(profile, C, rho, lambda r: r * eta_raw_prime(r))
+    phi, moment = _radial_profile(profile, C, rho)
     return phi, ((1.0 + profile.a) * phi + moment) / rho
 
 

@@ -17,7 +17,6 @@ __all__ = [
     "gauss_legendre",
     "gauss_jacobi",
     "integrate_ball_weighted",
-    "adaptive_simpson",
     "sphere_area",
     "angular_rule",
 ]
@@ -162,30 +161,3 @@ def integrate_ball_weighted(g, center, radius: float, a: float, resolution: int)
     for wy, val in zip(yweights, above):
         total += wy * val
     return total
-
-
-def adaptive_simpson(f, lo: float, hi: float, tol: float = 1e-13, max_depth: int = 50) -> float:
-    """Adaptive Simpson integration to absolute tolerance ``tol``.
-
-    The designated independent oracle for derived quadrature values; it never
-    shares node layouts with the Gauss rules above.
-    """
-    def simpson(a, b, fa, fm, fb):
-        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, b, fa, fm, fb, whole, eps, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = simpson(a, m, fa, flm, fm)
-        right = simpson(m, b, fm, frm, fb)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(a, m, fa, flm, fm, left, eps / 2.0, depth + 1)
-                + recurse(m, b, fm, frm, fb, right, eps / 2.0, depth + 1))
-
-    lo, hi = float(lo), float(hi)
-    fa, fb = f(lo), f(hi)
-    fm = f(0.5 * (lo + hi))
-    whole = simpson(lo, hi, fa, fm, fb)
-    return recurse(lo, hi, fa, fm, fb, whole, tol, 0)

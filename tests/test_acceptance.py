@@ -17,7 +17,8 @@ from fracmv.extension import ExtensionKernel, reflected_extension
 from fracmv.fraclap import Params, frac_lap, make_field
 from fracmv.kernel import (build_table, extension_mean_value, phi_r_convolve,
                            read_table, verify_kernel_properties, write_table)
-from fracmv.quadrature import adaptive_simpson, integrate_ball_weighted
+from fracmv.quadrature import integrate_ball_weighted
+from oracles import adaptive_simpson
 
 FULL_MATRIX = [(1, -0.5), (1, 0.0), (1, 0.5),
                (2, -0.5), (2, 0.0), (2, 0.5)]

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import fracmv.fraclap
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from fracmv.fraclap import (FIELD_NAMES, Params, ScalarField,
-                            _ball_poisson_normalizer, _shell_nodes,
-                            ball_poisson_kernel, frac_lap,
+                            _ball_poisson_data, _ball_poisson_normalizer,
+                            _shell_nodes, _shell_window, frac_lap,
                             make_field, sample_sharmonic)
-from fracmv.quadrature import adaptive_simpson
+from oracles import adaptive_simpson, ball_poisson_kernel, sharmonic_direct
 
 
 class TestParams:
@@ -158,9 +160,10 @@ class TestSampleFields:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_evaluator_matches_norm_formula(self, n):
-        # the evaluator forms |x - ybar|^n without a square root; compare it
-        # with the Euclidean-norm formula on the same shell nodes, including
-        # points with 1 - |x|/r down to 1e-12
+        # the evaluator (a direct sum for n = 1, the ring mode series for
+        # n = 2) against the Euclidean-norm formula on the same shell nodes,
+        # including points with 1 - |x|/r down to 1e-12; this data is nonzero
+        # on the innermost ring, where the n = 2 series differs by ~1e-13
         r, s = 1.3, 0.35
 
         def g(y):
@@ -188,14 +191,16 @@ class TestSampleFields:
             assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_evaluator_blocks_match_one_block(self, n, monkeypatch):
-        # the evaluator works through large batches in blocks of rows; each
-        # row's sum does not depend on the block it is in
+    def test_batch_matches_single_points(self, n):
+        # each point's value does not depend on the batch it is evaluated in
         x = np.random.default_rng(11).uniform(-1.2, 1.2, (8000, n))
-        blocked = make_field("ball_poisson", n, 0.4, seed=3)(x)
-        monkeypatch.setattr(fracmv.fraclap, "EVAL_BLOCK", 1 << 40)
-        whole = make_field("ball_poisson", n, 0.4, seed=3)(x)
-        assert np.array_equal(blocked, whole)
+        f = make_field("ball_poisson", n, 0.4, seed=3)
+        batch = f(x)
+        single = np.array([f(p) for p in x])
+        if n == 1:
+            np.testing.assert_array_equal(batch, single)
+        else:
+            assert_allclose(batch, single, rtol=1e-15, atol=0.0)
 
     def test_growth_tag_consistent_with_samples(self):
         for name in ("constant", "gaussian", "ball_poisson"):
@@ -203,3 +208,63 @@ class TestSampleFields:
             for rad in (10.0, 100.0, 1000.0):
                 val = abs(f(np.array([rad])))
                 assert val <= 10.0 * f.envelope(rad)
+
+
+def _interior_points(r, rng):
+    # the center, random points, and 1 - |x|/r = 10^-k for k = 1..12
+    dirs = rng.normal(size=(60, 2))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    frac = np.concatenate([[0.0], rng.uniform(0.0, 0.99, 47),
+                           1.0 - 10.0 ** -np.arange(1.0, 13.0)])
+    return dirs * (r * frac)[:, None]
+
+
+class TestModeSeries:
+    """The n = 2 mode series against the direct 3,072-node sum."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ball_poisson_fields(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for s in (0.1, 0.5, 0.9):
+            for r in (0.3, 1.0, 1.3):
+                g = _ball_poisson_data(2, r, seed)
+                x = _interior_points(r, rng)
+                got = make_field("ball_poisson", 2, s, r=r, seed=seed)(x)
+                assert_allclose(got, sharmonic_direct(g, r, s, 2, x),
+                                rtol=1e-13, atol=0.0)
+
+    def test_small_mode_is_kept(self):
+        # a cos(theta) mode 1e-10 below the cos(3 theta) one moves the field
+        # near the ball by up to 2e-11 relative, 200 times the tolerance, so a
+        # cutoff that drops it fails here
+        r, s = 1.0, 0.5
+
+        def g(y):
+            theta = np.arctan2(y[:, 1], y[:, 0])
+            ang = 2.0 + np.cos(3.0 * theta) + 1e-10 * np.cos(theta)
+            return _shell_window(np.linalg.norm(y, axis=1), r) * ang
+
+        x = _interior_points(r, np.random.default_rng(3))
+        assert_allclose(sample_sharmonic(g, r, s, 2)(x),
+                        sharmonic_direct(g, r, s, 2, x), rtol=1e-13, atol=0.0)
+
+    # no example database: every run draws the same examples
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(amps=st.lists(st.floats(0.01, 1.0), max_size=32),
+           phases=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=32, max_size=32),
+           r=st.floats(0.2, 2.0), s=st.floats(0.05, 0.95),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_trigonometric_data(self, amps, phases, r, s, seed):
+        # window(|y|) (1 + sum |a_m| + sum_m a_m cos(m theta + phi_m)) is
+        # positive, and every mode 1..len(amps) is far above the cutoff
+        a0 = 1.0 + sum(amps)
+
+        def g(y):
+            theta = np.arctan2(y[:, 1], y[:, 0])
+            ang = a0 + sum(am * np.cos(m * theta + ph) for m, (am, ph)
+                           in enumerate(zip(amps, phases), start=1))
+            return _shell_window(np.linalg.norm(y, axis=1), r) * ang
+
+        x = _interior_points(r, np.random.default_rng(seed))
+        assert_allclose(sample_sharmonic(g, r, s, 2)(x),
+                        sharmonic_direct(g, r, s, 2, x), rtol=1e-13, atol=0.0)
