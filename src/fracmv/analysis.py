@@ -37,44 +37,21 @@ CSV_HEADER = "field_id,x,r,lambda,p,value,kind"
 
 @dataclass(frozen=True)
 class Domain:
-    """Bounded domain with a closed-form boundary distance.
+    """The ball B(center, radius) of R^n, the interval (c - r, c + r) at n = 1."""
 
-    ``kind`` is "interval", with ``geometry`` (lo, hi), or "ball", with
-    ``geometry`` (center tuple, radius).
-    """
-
-    kind: str
-    n: int
-    geometry: tuple
-
-    @classmethod
-    def interval(cls, lo: float, hi: float) -> "Domain":
-        if not hi > lo:
-            raise ValueError("interval needs hi > lo")
-        return cls("interval", 1, (float(lo), float(hi)))
+    center: tuple
+    radius: float
 
     @classmethod
     def ball(cls, center, radius: float) -> "Domain":
-        center = tuple(float(c) for c in np.atleast_1d(center))
         if not radius > 0:
             raise ValueError("radius must be positive")
-        return cls("ball", len(center), (center, float(radius)))
+        return cls(tuple(float(c) for c in np.atleast_1d(center)), float(radius))
 
     def distance_to_boundary(self, x) -> float:
         """delta(x): distance to the boundary for interior x, 0 outside."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.kind == "interval":
-            lo, hi = self.geometry
-            return max(0.0, min(x[0] - lo, hi - x[0]))
-        center, radius = self.geometry
-        return max(0.0, radius - float(np.linalg.norm(x - center)))
-
-    @property
-    def diameter(self) -> float:
-        if self.kind == "interval":
-            lo, hi = self.geometry
-            return hi - lo
-        return 2.0 * self.geometry[1]
+        return max(0.0, self.radius - float(np.linalg.norm(x - self.center)))
 
 
 @dataclass(frozen=True)
@@ -130,24 +107,24 @@ def _midpoint_grid(lo: float, width: float, count: int, n: int):
     return np.column_stack([gx.ravel(), gy.ravel()]), step ** n
 
 
-def _disc_points(center, radius: float, m: int):
-    """Midpoints of an m x m grid on the disc's bounding square that lie in it.
+def _ball_cells(center, radius: float, m: int):
+    """Midpoints of an m^n grid on the ball's bounding cube that lie in it.
 
-    Returns the points and the cell measure.  No midpoint lies on the circle:
-    the midpoints are radius * k / m with k = 2i + 1 - m, and k^2 + l^2 and
-    m^2 differ mod 4.
+    Returns the points and the cell measure.  No midpoint lies on the
+    sphere: the midpoints are radius * k / m with k = 2i + 1 - m, so
+    |k| < m, and at n = 2 k^2 + l^2 and m^2 differ mod 4.
     """
-    pts, cell = _midpoint_grid(-radius, 2.0 * radius, m, 2)
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    pts, cell = _midpoint_grid(-radius, 2.0 * radius, m, center.size)
     return pts[(pts ** 2).sum(axis=1) < radius * radius] + center, cell
 
 
 def _ball_points(center, radius: float, resolution: int) -> np.ndarray:
     """Midpoint sample points of the ball, shape (m, n)."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if center.size == 1:
-        return _midpoint_grid(center[0] - radius, 2.0 * radius, resolution, 1)[0]
-    return _disc_points(center, radius,
-                        max(4, int(round(math.sqrt(resolution) * 2))))[0]
+    m = resolution
+    if np.size(center) > 1:
+        m = max(4, int(round(math.sqrt(resolution) * 2)))
+    return _ball_cells(center, radius, m)[0]
 
 
 def _ball_measure(n: int, radius: float) -> float:
@@ -312,13 +289,7 @@ def weighted_gradient_besov_ratio(table: RadialKernelTable, f: ScalarField,
     Denominator: the difference seminorm plus the local p-norm.  A zero
     field reports ratio 0.
     """
-    if domain.kind == "interval":
-        lo, hi = domain.geometry
-        pts, cell = _midpoint_grid(lo, hi - lo, grid_count, 1)
-    else:
-        center, radius = domain.geometry
-        pts, cell = _disc_points(np.asarray(center), radius, grid_count)
-
+    pts, cell = _ball_cells(domain.center, domain.radius, grid_count)
     acc = 0.0
     for x in pts:
         delta = domain.distance_to_boundary(x)
@@ -328,9 +299,10 @@ def weighted_gradient_besov_ratio(table: RadialKernelTable, f: ScalarField,
         acc += (delta ** (1.0 - lam) * float(np.linalg.norm(g))) ** p * cell
     numerator = acc ** (1.0 / p)
 
-    besov = besov_seminorm(f, lam, p, window, half_width=domain.diameter,
+    diameter = 2.0 * domain.radius
+    besov = besov_seminorm(f, lam, p, window, half_width=diameter,
                            grid=48, shells=10)
-    denom = besov.value + _lp_norm(f, p, domain.diameter, 48)
+    denom = besov.value + _lp_norm(f, p, diameter, 48)
     ratio = 0.0 if denom == 0.0 else numerator / denom
     return ReportRow(field_id, (), math.nan, lam, p, ratio,
                      "weighted_gradient_besov_ratio")

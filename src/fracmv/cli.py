@@ -65,7 +65,7 @@ class RunConfig:
         try:
             if self.s is not None:
                 return Params.from_s(self.n, self.s)
-            return Params.from_a(self.n, self.a)
+            return Params(n=self.n, a=self.a)
         except ValueError as exc:  # e.g. a tiny s rounds a = 1 - 2s to 1
             raise UsageError(str(exc)) from exc
 
@@ -79,6 +79,8 @@ def _parse_config_file(path: str) -> dict:
         text = Path(path).read_text()
     except OSError as exc:
         raise OSError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config {path} is not text: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -91,79 +93,76 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _apply_config_key(cfg: RunConfig, key: str, val: str):
+    """Parse one setting, from a config line or a flag, into ``cfg``.
+
+    An unknown key or a value out of range raises UsageError; a value that
+    does not parse raises ValueError.
+    """
     if key == "n":
         cfg.n = int(val)
+        if cfg.n not in (1, 2):
+            raise UsageError(f"n must be 1 or 2, got {cfg.n}")
+    # a = 1 - 2s, so either one replaces the other
     elif key == "a":
-        cfg.a = float(val)
+        cfg.a, cfg.s = float(val), None
     elif key == "s":
-        cfg.s = float(val)
+        cfg.a, cfg.s = None, float(val)
     elif key == "table":
         cfg.table = val
     elif key == "out":
         cfg.out = val
     elif key == "seed":
         cfg.seed = int(val)
+        if cfg.seed < 0:
+            raise UsageError(f"seed must not be negative, got {cfg.seed}")
     elif key == "fields":
         cfg.fields = [f.strip() for f in val.split(",") if f.strip()]
-    elif key.startswith("tol."):
-        cfg.tolerances[key[4:]] = float(val)
-    elif key.startswith("grid.") and key[5:] in DEFAULT_GRID:
-        name = key[5:]
-        # each grid value keeps the type of its default
-        value = type(DEFAULT_GRID[name])(val)
-        # rmax must lie beyond the dense grid on [0, 2], which needs both of
-        # its end points; every other count must be positive
-        low = {"rmax": 2.0, "dense_points": 1}.get(name, 0)
+        if not cfg.fields or not set(cfg.fields) <= set(FIELD_NAMES):
+            raise UsageError(f"fields {val!r} must name one or more of "
+                             + ", ".join(FIELD_NAMES))
+    elif key.startswith(("tol.", "grid.")):
+        section, _, name = key.partition(".")
+        defaults = DEFAULT_TOLERANCES if section == "tol" else DEFAULT_GRID
+        if name not in defaults:
+            raise UsageError(f"unknown config key {key!r}")
+        # each value keeps the type of its default; rmax must lie beyond the
+        # dense grid on [0, 2], which needs both of its end points; every
+        # other value must be positive
+        value = type(defaults[name])(val)
+        low = {"grid.rmax": 2.0, "grid.dense_points": 1}.get(key, 0)
         if not low < value < math.inf:
             raise UsageError(f"config key {key!r}: {value} is out of range")
-        cfg.grid[name] = value
+        (cfg.tolerances if section == "tol" else cfg.grid)[name] = value
     else:
         raise UsageError(f"unknown config key {key!r}")
 
 
-def _build_config(args) -> RunConfig:
-    cfg = RunConfig()
-    file_keys = _parse_config_file(args.config) if args.config else {}
-    for key, val in file_keys.items():
-        try:
-            _apply_config_key(cfg, key, val)
-        except ValueError as exc:
-            raise UsageError(f"config key {key!r}: {exc}") from exc
-    if args.n is not None:
-        cfg.n = args.n
-    if args.a is not None:
-        cfg.a = args.a
-        cfg.s = None if args.s is None else cfg.s
-    if args.s is not None:
-        cfg.s = args.s
-        if args.a is None:
-            cfg.a = None
-    if args.a is not None and args.s is not None:
-        raise UsageError("give either --a or --s, not both")
-    if args.table is not None:
-        cfg.table = args.table
-    if args.out is not None:
-        cfg.out = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.fields is not None:
-        cfg.fields = [f.strip() for f in args.fields.split(",") if f.strip()]
+def _flag_keys(args) -> dict:
+    """The flags as config keys and values, in the config file's form."""
+    out = {key: getattr(args, key) for key in
+           ("n", "a", "s", "table", "out", "seed", "fields")
+           if getattr(args, key) is not None}
     for item in args.tol or []:
-        if "=" not in item:
+        name, eq, val = item.partition("=")
+        if not eq:
             raise UsageError(f"--tol expects NAME=VALUE, got {item!r}")
-        name, _, val = item.partition("=")
-        try:
-            cfg.tolerances[name] = float(val)
-        except ValueError as exc:
-            raise UsageError(f"--tol {item!r}: {exc}") from exc
-    if any(v <= 0 for v in cfg.tolerances.values()):
-        raise UsageError("tolerances must be positive")
-    for name in cfg.fields:
-        if name not in FIELD_NAMES:
-            raise UsageError(f"unknown field {name!r}; known: "
-                             + ", ".join(FIELD_NAMES))
-    if cfg.n not in (1, 2):
-        raise UsageError(f"n must be 1 or 2, got {cfg.n}")
+        out["tol." + name] = val
+    return out
+
+
+def _build_config(args) -> RunConfig:
+    # the file's keys go first, so a bad line exits 2 even where a flag
+    # overrides it
+    cfg = RunConfig()
+    for keys in (_parse_config_file(args.config) if args.config else {},
+                 _flag_keys(args)):
+        if "a" in keys and "s" in keys:
+            raise UsageError("give either a or s, not both")
+        for key, val in keys.items():
+            try:
+                _apply_config_key(cfg, key, val)
+            except ValueError as exc:
+                raise UsageError(f"config key {key!r}: {exc}") from exc
     return cfg
 
 
@@ -235,8 +234,7 @@ def cmd_mvp(cfg: RunConfig) -> int:
     table = _load_table(cfg)
     params = table.params
     tol = cfg.tol("mvp")
-    domain = (Domain.interval(-1.0, 1.0) if params.n == 1
-              else Domain.ball(np.zeros(2), 1.0))
+    domain = Domain.ball(np.zeros(params.n), 1.0)
     rows = ["field_id,x,r,residual,allowed"]
     worst = 0.0
     failed = False
@@ -269,8 +267,7 @@ def cmd_extension(cfg: RunConfig) -> int:
     kern = ExtensionKernel.create(params.n, params.a)
     from .bump import normalize
     profile = normalize(params.n, params.a)
-    domain = (Domain.interval(-1.0, 1.0) if params.n == 1
-              else Domain.ball(np.zeros(2), 1.0))
+    domain = Domain.ball(np.zeros(params.n), 1.0)
     rows = ["field_id,x,r,value,residual,kind"]
     failed = False
     for name in cfg.fields:
@@ -302,8 +299,7 @@ def cmd_extension(cfg: RunConfig) -> int:
 def cmd_regularity(cfg: RunConfig) -> int:
     table = _load_table(cfg)
     params = table.params
-    domain = (Domain.interval(-1.0, 1.0) if params.n == 1
-              else Domain.ball(np.zeros(2), 1.0))
+    domain = Domain.ball(np.zeros(params.n), 1.0)
     grid = _interior_points(params.n, count=3)
     rows = []
     failed = False
@@ -328,15 +324,16 @@ def cmd_regularity(cfg: RunConfig) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--s", type=float)
-    parser.add_argument("--a", type=float)
+    # every value stays a string, parsed by _apply_config_key as in a file
+    parser.add_argument("--n")
+    parser.add_argument("--s")
+    parser.add_argument("--a")
     parser.add_argument("--config")
     parser.add_argument("--table")
     parser.add_argument("--out")
     parser.add_argument("--tol", action="append", metavar="NAME=VALUE")
     parser.add_argument("--fields")
-    parser.add_argument("--seed", type=int)
+    parser.add_argument("--seed")
 
 
 def _make_parser() -> argparse.ArgumentParser:

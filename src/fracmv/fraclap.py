@@ -60,10 +60,6 @@ class Params:
     def from_s(cls, n: int, s: float) -> "Params":
         return cls(n=n, a=1.0 - 2.0 * s)
 
-    @classmethod
-    def from_a(cls, n: int, a: float) -> "Params":
-        return cls(n=n, a=a)
-
 
 @dataclass
 class ScalarField:

@@ -16,7 +16,7 @@ def get_table():
     def _get(n, a):
         key = (n, float(a))
         if key not in _TABLE_CACHE:
-            _TABLE_CACHE[key] = build_table(Params.from_a(n, float(a)))
+            _TABLE_CACHE[key] = build_table(Params(n=n, a=float(a)))
         return _TABLE_CACHE[key]
 
     return _get

@@ -3,7 +3,7 @@
 Parameter matrix: n in {1, 2} and a in {-0.5, 0, 0.5}.  The normalization,
 gradient-identity, and determinism criteria run on the full matrix; the
 field-based suites run on all three a for n = 1 plus a = 0 for n = 2, and
-the smoothness-ratio family study runs on the n = 1 interval domain (the
+the smoothness-ratio family study runs on the n = 1 ball (-0.6, 0.6) (the
 n = 2 leg is a single smoke ratio).  Kernel tables are session-cached.
 """
 import math
@@ -36,7 +36,7 @@ def _report(num: int, name: str, failures: list):
 
 
 def _domain(n: int) -> Domain:
-    return Domain.interval(-1.0, 1.0) if n == 1 else Domain.ball(np.zeros(2), 1.0)
+    return Domain.ball(np.zeros(n), 1.0)
 
 
 def _poisson_mass(k: ExtensionKernel, cut: float = 1e4) -> float:
@@ -224,7 +224,7 @@ def test_criterion_7_gradient_sharp_surrogate(get_table):
 def test_criterion_8_weighted_besov_family(get_table):
     failures = []
     lam, p = 0.5, 2.0
-    domain = Domain.interval(-0.6, 0.6)
+    domain = Domain.ball([0.0], 0.6)
     for a in (-0.5, 0.0, 0.5):
         table = get_table(1, a)
         s = table.params.s
@@ -263,7 +263,7 @@ def test_criterion_9_determinism_and_persistence(get_table, tmp_path):
     failures = []
     coarse = {"dense_points": 33, "geo_points": 16}
     for n, a in FULL_MATRIX:
-        params = Params.from_a(n, a)
+        params = Params(n=n, a=a)
         pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
         write_table(build_table(params, coarse), pa)
         write_table(build_table(params, coarse), pb)

@@ -16,21 +16,21 @@ def _field(fn, n=1, **kw):
 
 class TestDomain:
     def test_interval_distance(self):
-        d = Domain.interval(-1.0, 3.0)
+        # the n = 1 ball B(1, 2) is the interval (-1, 3)
+        d = Domain.ball([1.0], 2.0)
         assert d.distance_to_boundary(0.0) == 1.0
         assert d.distance_to_boundary(2.5) == 0.5
         assert d.distance_to_boundary(4.0) == 0.0
-        assert d.diameter == 4.0
+        assert (d.center, d.radius) == ((1.0,), 2.0)
 
     def test_ball_distance(self):
         d = Domain.ball([1.0, 0.0], 2.0)
         assert_allclose(d.distance_to_boundary([1.0, 0.5]), 1.5)
         assert d.distance_to_boundary([4.0, 0.0]) == 0.0
-        assert d.diameter == 4.0
 
     def test_validators(self):
         with pytest.raises(ValueError):
-            Domain.interval(1.0, 1.0)
+            Domain.ball([1.0], 0.0)
         with pytest.raises(ValueError):
             Domain.ball([0.0], -1.0)
 
@@ -183,7 +183,7 @@ class TestBesov:
 class TestRatioReports:
     def test_gradient_sharp_rows_and_band(self, table_n1_a0):
         f = make_field("ball_poisson", 1, 0.5, seed=1)
-        domain = Domain.interval(-0.6, 0.6)
+        domain = Domain.ball([0.0], 0.6)
         grid = [np.array([u]) for u in (-0.3, 0.0, 0.3)]
         factors = (0.5, 0.25)
         rows = gradient_sharp_ratio(table_n1_a0, f, domain, 0.5, grid,
@@ -206,7 +206,7 @@ class TestRatioReports:
 
     def test_weighted_ratio_finite_and_stable(self, table_n1_a0):
         f = make_field("ball_poisson", 1, 0.5, seed=3)
-        domain = Domain.interval(-0.6, 0.6)
+        domain = Domain.ball([0.0], 0.6)
         coarse = weighted_gradient_besov_ratio(table_n1_a0, f, domain,
                                                0.5, 2.0, grid_count=9)
         fine = weighted_gradient_besov_ratio(table_n1_a0, f, domain,

@@ -1,10 +1,18 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracmv.cli import main
+from fracmv.cli import (DEFAULT_TOLERANCES, RunConfig, UsageError,
+                        _build_config, _make_parser, main)
 from fracmv.errors import TableMismatchError
-from fracmv.kernel import read_table, write_table
+from fracmv.kernel import DEFAULT_GRID, read_table, write_table
+
+# the bad inputs given as flags rather than as config lines
+BAD_FLAGS = ["--tol mvp=nan", "--tol mvp=inf", "--tol mvp=0", "--tol mpv=1e-3",
+             "--seed -1", "--fields ,", "--n two", "--seed x", "--a zero",
+             "--tol mvp=small"]
 
 COARSE = """\
 # coarse build grid, keeps the table cheap for CLI tests
@@ -146,12 +154,31 @@ class TestUsageErrors:
         "grid.y_nodes = 0",
         "grid.radial_nodes = -1",
         "grid.angular_nodes = 0",
+        # a tolerance that is not a positive finite number, or has no check
+        # of its name, would switch a check off
+        "tol.mvp = nan",
+        "tol.mvp = inf",
+        "tol.mvp = 0",
+        "tol.mpv = 1e-3",
+        "seed = -1",
+        "fields = ,",
+        # written as the byte 0xff, which does not decode
+        "n = 1\udcff",
+        *BAD_FLAGS,
     ])
-    def test_bad_config_line(self, tmp_path, line):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(line + "\n")
-        assert main(["kernel", "build", "--s", "0.5", "--config", str(cfg),
-                     "--out", str(tmp_path)]) == 2
+    def test_bad_config_line(self, tmp_path, line, capsys):
+        # a config line, or with a leading "--" the same setting as flags;
+        # the --s flag overrides a bad a in the file, which still exits 2
+        argv = ["kernel", "build", "--s", "0.5", "--out", str(tmp_path)]
+        if line.startswith("--"):
+            argv += line.split()
+        else:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_bytes((line + "\n").encode("utf-8", "surrogateescape"))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_grid_value_in_exponent_form(tmp_path, coarse_config):
@@ -251,3 +278,40 @@ def test_config_file_comments_and_tolerances(table_file, tmp_path):
     code = main(["mvp", "--table", table_file, "--config", str(cfg),
                  "--out", str(tmp_path)])
     assert code == 0
+
+
+def test_flags_and_config_file_agree(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 2\na = 0.25\ntable = t.txt\nout = runs\nseed = 7\n"
+                   "fields = constant, affine\ntol.mvp = 1e-3\n"
+                   "tol.constancy = 2e-3\n")
+    parser = _make_parser()
+    from_file = _build_config(parser.parse_args(["mvp", "--config", str(cfg)]))
+    from_flags = _build_config(parser.parse_args([
+        "mvp", "--n", "2", "--a", "0.25", "--table", "t.txt", "--out", "runs",
+        "--seed", "7", "--fields", "constant,affine", "--tol", "mvp=1e-3",
+        "--tol", "constancy=2e-3"]))
+    assert from_file == from_flags
+    assert from_file == RunConfig(n=2, a=0.25, table="t.txt", out="runs",
+                                  seed=7, fields=["constant", "affine"],
+                                  tolerances={"mvp": 1e-3, "constancy": 2e-3})
+
+
+CONFIG_KEYS = ["n", "a", "s", "table", "out", "seed", "fields", "tol.mpv",
+               *("tol." + name for name in DEFAULT_TOLERANCES),
+               *("grid." + name for name in DEFAULT_GRID)]
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(key=st.one_of(st.sampled_from(CONFIG_KEYS), st.text()),
+       value=st.one_of(st.text(), st.integers().map(str),
+                       st.floats().map(repr)))
+def test_fuzzed_config_line(tmp_path_factory, key, value):
+    # any key = value line gives a RunConfig or a usage error, nothing else
+    cfg = tmp_path_factory.mktemp("fuzz") / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    args = _make_parser().parse_args(["mvp", "--config", str(cfg)])
+    try:
+        assert isinstance(_build_config(args), RunConfig)
+    except UsageError:
+        pass

@@ -37,7 +37,7 @@ def test_poisson_constant(n, a):
 def test_ball_poisson_normalizer(n, a):
     # unit mass at the center of B(0, 1): |S^{n-1}| int_1^inf
     # (rho^2-1)^{-s}/rho drho = |S^{n-1}| B(s, 1-s) / 2
-    s = Params.from_a(n, a).s
+    s = Params(n=n, a=a).s
     with mp.workdps(50):
         sm = mp.mpf(s)
         ref = 1 / (_sphere(n) * mp.beta(sm, 1 - sm) / 2)

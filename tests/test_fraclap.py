@@ -21,7 +21,7 @@ class TestParams:
         assert 2.0 * p.s + p.a == 1.0  # exact float identity
 
     def test_from_a_roundtrip(self):
-        p = Params.from_a(2, 0.5)
+        p = Params(n=2, a=0.5)
         assert p.s == 0.25
 
     @pytest.mark.parametrize("n,a", [(3, 0.0), (1, 1.0), (1, -1.0),
@@ -34,7 +34,7 @@ class TestParams:
     def test_every_a_in_range_constructs(self):
         # 1,036 of these failed an exact 2s + a == 1 check when s was stored
         for a in np.linspace(-0.999, 0.999, 9981):
-            assert 0.0 < Params.from_a(1, float(a)).s < 1.0
+            assert 0.0 < Params(n=1, a=float(a)).s < 1.0
 
 
 class TestFracLap:

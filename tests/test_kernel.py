@@ -226,7 +226,7 @@ class TestPropertyReport:
 def test_build_table_small_grid_is_consistent():
     # a deliberately coarse build keeps this standalone test fast; the result
     # only needs to be in the right ballpark of the cached production table
-    params = Params.from_a(1, 0.0)
+    params = Params(n=1, a=0.0)
     small = build_table(params, {"dense_points": 33, "geo_points": 16})
     assert_allclose(small.mass(), 1.0, atol=5e-3)
     assert small.phi_of(0.0) > small.phi_of(1.0) > small.phi_of(4.0) > 0.0
@@ -236,5 +236,5 @@ def test_build_table_small_grid_is_consistent():
 def test_build_table_rejects_unknown_grid_key(key):
     # an unused key would otherwise land in the table's built_with line
     with pytest.raises(ValueError, match=key):
-        build_table(Params.from_a(1, 0.0), {"dense_points": 33, key: 8})
+        build_table(Params(n=1, a=0.0), {"dense_points": 33, key: 8})
     assert set(DEFAULT_GRID) == {"dense_points", "geo_points", "rmax"}
