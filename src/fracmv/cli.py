@@ -18,8 +18,9 @@ import numpy as np
 
 from .analysis import (Domain, gradient_sharp_ratio, rows_to_csv,
                        weighted_gradient_besov_ratio)
+from .bump import normalize
 from .errors import FracmvError, TableMismatchError, ToleranceError
-from .extension import ExtensionKernel, reflected_extension
+from .extension import reflected_extension
 from .fraclap import FIELD_NAMES, Params, make_field
 from .kernel import (DEFAULT_GRID, RadialKernelTable, build_table,
                      extension_mean_value, phi_r_convolve, read_table,
@@ -58,10 +59,6 @@ class RunConfig:
     def params(self) -> Params:
         if (self.a is None) == (self.s is None):
             raise UsageError("exactly one of --a and --s must be given")
-        if self.s is not None and not 0.0 < self.s < 1.0:
-            raise UsageError(f"s must lie in (0, 1), got {self.s}")
-        if self.a is not None and not -1.0 < self.a < 1.0:
-            raise UsageError(f"a must lie in (-1, 1), got {self.a}")
         try:
             if self.s is not None:
                 return Params.from_s(self.n, self.s)
@@ -102,11 +99,15 @@ def _apply_config_key(cfg: RunConfig, key: str, val: str):
         cfg.n = int(val)
         if cfg.n not in (1, 2):
             raise UsageError(f"n must be 1 or 2, got {cfg.n}")
-    # a = 1 - 2s, so either one replaces the other
+    # a = 1 - 2s, so either one replaces the other; NaN fails both ranges
     elif key == "a":
         cfg.a, cfg.s = float(val), None
+        if not -1.0 < cfg.a < 1.0:
+            raise UsageError(f"a must lie in (-1, 1), got {cfg.a}")
     elif key == "s":
         cfg.a, cfg.s = None, float(val)
+        if not 0.0 < cfg.s < 1.0:
+            raise UsageError(f"s must lie in (0, 1), got {cfg.s}")
     elif key == "table":
         cfg.table = val
     elif key == "out":
@@ -264,8 +265,6 @@ def cmd_extension(cfg: RunConfig) -> int:
     params = cfg.params
     tol = cfg.tol("extension")
     ctol = cfg.tol("constancy")
-    kern = ExtensionKernel.create(params.n, params.a)
-    from .bump import normalize
     profile = normalize(params.n, params.a)
     domain = Domain.ball(np.zeros(params.n), 1.0)
     rows = ["field_id,x,r,value,residual,kind"]
@@ -274,7 +273,7 @@ def cmd_extension(cfg: RunConfig) -> int:
         if name == "affine" and params.s <= 0.5:
             continue
         f = make_field(name, params.n, params.s, seed=cfg.seed)
-        v = reflected_extension(kern, f)
+        v = reflected_extension(params, f)
         for x in _interior_points(params.n, count=3):
             delta = domain.distance_to_boundary(x)
             fx = f(x)

@@ -9,15 +9,14 @@ closed form of Caffarelli and Silvestre (Comm. PDE 32, 2007).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldRejectedError, ToleranceError
-from .fraclap import ScalarField
-from .quadrature import angular_rule, gauss_legendre, sphere_area
+from .errors import FieldRejectedError
+from .fraclap import Params, ScalarField
+from .quadrature import angular_rule, gauss_legendre, sphere_area, tail_radius
 
-__all__ = ["ExtensionKernel", "poisson_constant", "extend", "reflected_extension"]
+__all__ = ["poisson_constant", "extend", "reflected_extension"]
 
 RADIAL_NODES = 12  # Gauss nodes per panel of the radial rule
 
@@ -32,44 +31,11 @@ def poisson_constant(n: int, a: float) -> float:
         / (math.pi ** (n / 2.0) * math.gamma((1.0 - a) / 2.0))
 
 
-@dataclass(frozen=True)
-class ExtensionKernel:
-    """Extension Poisson kernel for dimension ``n`` and exponent ``a``."""
-
-    n: int
-    a: float
-    C: float
-
-    @classmethod
-    def create(cls, n: int, a: float) -> "ExtensionKernel":
-        return cls(n=n, a=a, C=poisson_constant(n, a))
-
-    @property
-    def s(self) -> float:
-        return (1.0 - self.a) / 2.0
-
-    def poisson_kernel(self, x, y: float):
-        """P_y(x) for y > 0; evaluated in log space for stability."""
-        if not y > 0.0:
-            raise ValueError(f"y must be positive, got {y}")
-        x = np.asarray(x, dtype=float)
-        single = x.ndim <= 1 and x.size == self.n
-        pts = x.reshape(-1, self.n)
-        r2 = (pts ** 2).sum(axis=1)
-        logv = (1.0 - self.a) * math.log(y) \
-            - 0.5 * (self.n + 1.0 - self.a) * np.log(r2 + y * y)
-        vals = self.C * np.exp(logv)
-        return float(vals[0]) if single else vals
-
-
 def _check_growth(f: ScalarField, s: float):
-    if f.growth == "bounded":
-        return
-    if f.growth == "polynomial" and f.degree < 2.0 * s:
-        return
-    raise FieldRejectedError(
-        f"field {f.description!r} (growth {f.growth}, degree {f.degree}) is not "
-        f"integrable against (1+|x|)^-(n+2s) for s={s}")
+    if f.degree >= 2.0 * s:
+        raise FieldRejectedError(
+            f"field {f.description!r} (degree {f.degree}) is not integrable "
+            f"against (1+|x|)^-(n+2s) for s={s}")
 
 
 def _radial_rule(W: float):
@@ -80,7 +46,7 @@ def _radial_rule(W: float):
     return gauss_legendre(RADIAL_NODES, breaks)
 
 
-def extend(k: ExtensionKernel, f: ScalarField, x, y: float, tol: float = 1e-8):
+def extend(params: Params, f: ScalarField, x, y: float, tol: float = 1e-8):
     """Reflected extension v(x, y) = (P_|y| * f)(x); equals f(x) at y = 0.
 
     ``x`` may be a single point or an array of shape (m, n) sharing the same
@@ -88,8 +54,8 @@ def extend(k: ExtensionKernel, f: ScalarField, x, y: float, tol: float = 1e-8):
     w = (z - x)/|y| with mean subtraction, truncated where the declared
     growth envelope pushes the tail estimate below ``tol``.
     """
-    _check_growth(f, k.s)
-    n, a = k.n, k.a
+    _check_growth(f, params.s)
+    n, a = params.n, params.a
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x.reshape(-1, n)
@@ -97,24 +63,18 @@ def extend(k: ExtensionKernel, f: ScalarField, x, y: float, tol: float = 1e-8):
         vals = f(pts)
         return float(vals[0]) if single else vals
     h = abs(y)
+    C = poisson_constant(n, a)
     surf = sphere_area(n)
 
-    # choose truncation radius from the envelope of |f(x + h w) - f(x)|
+    # truncation radius from the envelope of |f(x + h w) - f(x)|
     rmax = float(np.max(np.linalg.norm(pts, axis=1)))
-    W = 64.0
-    while True:
-        bound = k.C * surf * 2.0 * f.envelope(rmax) * W ** (a - 1.0) / (1.0 - a)
-        if f.growth == "polynomial" and f.degree >= 1:
-            p = a - 1.0 + f.degree
-            bound += k.C * surf * 2.0 * f.scale * h ** f.degree * W ** p / -p
-        if bound <= tol / 2.0 or W >= 1e18:
-            break
-        W *= 4.0
-    if bound > tol:
-        raise ToleranceError("convolution tail estimate above tolerance", bound, tol)
+    terms = [(C * surf * 2.0 * f.envelope(rmax), a - 1.0)]
+    if f.degree > 0:
+        terms.append((C * surf * 2.0 * f.scale * h ** f.degree, a - 1.0 + f.degree))
+    W = tail_radius(terms, 64.0, tol)
 
     t, wt = _radial_rule(W)
-    kern = k.C * (1.0 + t * t) ** (-0.5 * (n + 1.0 - a))
+    kern = C * (1.0 + t * t) ** (-0.5 * (n + 1.0 - a))
     dirs, ang_w = angular_rule(n, 48)
 
     fx = f(pts)
@@ -128,7 +88,7 @@ def extend(k: ExtensionKernel, f: ScalarField, x, y: float, tol: float = 1e-8):
     return float(out[0]) if single else out
 
 
-def reflected_extension(k: ExtensionKernel, f: ScalarField, tol: float = 1e-8):
+def reflected_extension(params: Params, f: ScalarField, tol: float = 1e-8):
     """Evaluator for v(z, y) on R^{n+1}, batched over points sharing a height.
 
     Accepts an array of shape (m, n+1).  Points are grouped by |y|, so the
@@ -136,13 +96,13 @@ def reflected_extension(k: ExtensionKernel, f: ScalarField, tol: float = 1e-8):
     one batched convolution over its distinct z rows.
     """
     def v(points):
-        points = np.asarray(points, dtype=float).reshape(-1, k.n + 1)
+        points = np.asarray(points, dtype=float).reshape(-1, params.n + 1)
         heights = np.abs(points[:, -1])
         out = np.empty(len(points))
         for h in np.unique(heights):
             sel = heights == h
             rows, back = np.unique(points[sel, :-1], axis=0, return_inverse=True)
-            out[sel] = extend(k, f, rows, h, tol=tol)[back.ravel()]
+            out[sel] = extend(params, f, rows, h, tol=tol)[back.ravel()]
         return out
 
     return v

@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .bump import eta_raw
-from .errors import FieldRejectedError, ToleranceError
-from .quadrature import angular_rule, gauss_jacobi, gauss_legendre
+from .errors import FieldRejectedError
+from .quadrature import angular_rule, gauss_jacobi, gauss_legendre, tail_radius
 
 __all__ = [
     "Params",
@@ -63,17 +63,15 @@ class Params:
 
 @dataclass
 class ScalarField:
-    """An evaluatable real-valued function on R^n with a declared growth class.
+    """An evaluatable real-valued function on R^n with a declared growth.
 
     ``evaluator`` receives an array of shape (m, n) and returns shape (m,).
-    ``growth`` is "bounded" or "polynomial"; for polynomial growth ``degree``
-    gives the envelope exponent and ``scale`` the envelope constant, i.e.
-    |f(x)| <= scale * (1 + |x|)^degree.
+    The field obeys |f(x)| <= scale * (1 + |x|)^degree; a bounded field has
+    degree 0.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     n: int
-    growth: str = "bounded"
     degree: float = 0
     scale: float = 1.0
     description: str = ""
@@ -90,8 +88,6 @@ class ScalarField:
 
     def envelope(self, radius) -> float:
         """Upper bound for |f| on the ball of the given radius."""
-        if self.growth == "bounded":
-            return self.scale
         return self.scale * (1.0 + radius) ** self.degree
 
 
@@ -122,22 +118,8 @@ def frac_lap(f: ScalarField, x, s: float, tol: float = 1e-6) -> float:
         return ((vp + vm - 2.0 * fx) * ang_w).sum(axis=1)
 
     # outer truncation: remainder of the f(x+z) part is bounded by the envelope
-    Z = 64.0
-    while Z < 1e15:
-        if f.growth == "bounded":
-            bound = surf * f.scale * Z ** (-2.0 * s) / (2.0 * s)
-        else:
-            p = f.degree - 2.0 * s
-            if p >= 0.0:
-                raise ToleranceError("outer integral diverges for declared growth",
-                                     math.inf, tol)
-            bound = surf * f.scale * (1.0 + np.linalg.norm(x)) ** f.degree \
-                * Z ** p / -p
-        if bound <= tol / 2.0:
-            break
-        Z *= 4.0
-    else:
-        raise ToleranceError("tail bound not met", bound, tol)
+    Z = tail_radius([(surf * f.scale * (1.0 + np.linalg.norm(x)) ** f.degree,
+                      f.degree - 2.0 * s)], 64.0, tol)
 
     # Below eps the symmetric second difference is dominated by rounding
     # noise after the t^{-1-2s} amplification; use a local even Taylor model
@@ -276,7 +258,7 @@ def sample_sharmonic(g, r: float, s: float, n: int) -> ScalarField:
         return out
 
     scale = max(1.0, float(np.max(np.abs(gvals))) if gvals.size else 1.0)
-    return ScalarField(evaluator=evaluate, n=n, growth="bounded", scale=scale,
+    return ScalarField(evaluator=evaluate, n=n, scale=scale,
                        description=f"ball-poisson(r={r}, s={s})",
                        kink_radii=(r,))
 
@@ -323,23 +305,23 @@ def make_field(name: str, n: int, s: float, r: float = 1.0, seed: int = 0) -> Sc
     """Built-in test field registry, selectable by string key."""
     if name == "constant":
         return ScalarField(evaluator=lambda x: np.ones(len(np.atleast_2d(x))),
-                           n=n, growth="bounded", scale=1.0, description="constant 1")
+                           n=n, scale=1.0, description="constant 1")
     if name == "affine":
         return ScalarField(evaluator=lambda x: np.asarray(x, dtype=float).reshape(-1, n)[:, 0],
-                           n=n, growth="polynomial", degree=1, scale=1.0,
+                           n=n, degree=1, scale=1.0,
                            description="affine x1")
     if name == "gaussian":
         return ScalarField(
             evaluator=lambda x: np.exp(-np.linalg.norm(
                 np.asarray(x, dtype=float).reshape(-1, n), axis=1) ** 2),
-            n=n, growth="bounded", scale=1.0, description="gaussian")
+            n=n, scale=1.0, description="gaussian")
     if name == "xplus_s":
         if n != 1:
             raise ValueError("xplus_s is a one-dimensional field")
         return ScalarField(
             evaluator=lambda x: np.maximum(
                 np.asarray(x, dtype=float).reshape(-1, 1)[:, 0], 0.0) ** s,
-            n=n, growth="polynomial", degree=s, scale=1.0,
+            n=n, degree=s, scale=1.0,
             description=f"max(x,0)^{s}")
     if name == "ball_poisson":
         fld = sample_sharmonic(_ball_poisson_data(n, r, seed), r, s, n)

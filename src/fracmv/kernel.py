@@ -31,10 +31,10 @@ from scipy.interpolate import CubicSpline
 
 from .bump import SUPPORT_LO, BumpProfile, eta_raw, eta_raw_prime, normalize
 from .errors import TableMismatchError, ToleranceError
-from .extension import ExtensionKernel
+from .extension import poisson_constant
 from .fraclap import Params, ScalarField
 from .quadrature import (angular_rule, gauss_jacobi, gauss_legendre,
-                         integrate_ball_weighted, sphere_area)
+                         integrate_ball_weighted, sphere_area, tail_radius)
 
 __all__ = [
     "RadialKernelTable",
@@ -156,14 +156,15 @@ def _kernel_values(profile: BumpProfile, C: float, rho: float):
     return phi, ((1.0 + profile.a) * phi + moment) / rho
 
 
-def phi_direct(profile: BumpProfile, k: ExtensionKernel, x) -> float:
+def phi_direct(profile: BumpProfile, x) -> float:
     """Kernel value by quadrature in absolute coordinates.
 
     Keeps the full vector geometry of the defining integral (no radial
     reduction), so rotational symmetry of the result is a genuine numerical
     outcome.  Intended for |x| <= 2.
     """
-    n, a, C = profile.n, profile.a, k.C
+    n, a = profile.n, profile.a
+    C = poisson_constant(n, a)
     x = np.asarray(x, dtype=float).reshape(-1)
     ynodes, yweights, eps = _y_rule(a, 16, 16)
     m = 0.5 * (n + 1.0 - a)
@@ -256,7 +257,7 @@ def build_table(params: Params, grid_spec: dict | None = None) -> RadialKernelTa
         raise ValueError(f"unknown grid keys {unknown}; known: {sorted(DEFAULT_GRID)}")
     grid = {**DEFAULT_GRID, **(grid_spec or {})}
     profile = normalize(params.n, params.a)
-    C = ExtensionKernel.create(params.n, params.a).C
+    C = poisson_constant(params.n, params.a)
     dense = np.linspace(0.0, 2.0, grid["dense_points"])
     geo = 2.0 * (grid["rmax"] / 2.0) ** (
         np.arange(1, grid["geo_points"] + 1) / grid["geo_points"])
@@ -331,25 +332,13 @@ def _convolve_radial(table: RadialKernelTable, kernel_of, tail_exponent: float,
     rmax = table.rmax
     coef = abs(kernel_of(rmax)) * rmax ** tail_exponent
 
+    # |f - subtract| <= envelope(|x|) + |subtract| + scale (r w)^degree
     p1 = n - tail_exponent  # exponent of the tail integral for a flat envelope
-    deg = f.degree if f.growth == "polynomial" else 0
-    W = 4.0 * rmax
-    while True:
-        # |f - subtract| <= envelope(|x|) + |subtract| + scale (r w)^deg
-        bound = surf * coef * (f.envelope(float(np.linalg.norm(x)))
-                               + abs(subtract)) * W ** p1 / -p1
-        if deg > 0:
-            if p1 + deg >= 0.0:
-                raise ToleranceError("tail diverges for declared growth",
-                                     math.inf, tol)
-            bound += surf * coef * f.scale * r ** deg \
-                * W ** (p1 + deg) / -(p1 + deg)
-        if bound <= tol / 2.0 or W > 1e16:
-            break
-        W *= 4.0
-    if bound > tol:
-        raise ToleranceError("convolution tail estimate above tolerance",
-                             bound, tol)
+    flat = f.envelope(float(np.linalg.norm(x))) + abs(subtract)
+    terms = [(surf * coef * flat, p1)]
+    if f.degree > 0:
+        terms.append((surf * coef * f.scale * r ** f.degree, p1 + f.degree))
+    W = tail_radius(terms, 4.0 * rmax, tol)
 
     breaks = _conv_breaks(r, W)
     dirs, ang_w = angular_rule(n, angular)
@@ -476,18 +465,17 @@ def verify_kernel_properties(table: RadialKernelTable,
 
     n, a = table.params.n, table.params.a
     profile = table.profile
-    k = ExtensionKernel.create(n, a)
     checks = []
 
     # (a) rotational symmetry, via absolute-coordinate quadrature
     rho0 = 0.5
     if n == 1:
-        va = phi_direct(profile, k, np.array([rho0]))
-        vb = phi_direct(profile, k, np.array([-rho0]))
+        va = phi_direct(profile, np.array([rho0]))
+        vb = phi_direct(profile, np.array([-rho0]))
     else:
-        va = phi_direct(profile, k, rho0 * np.array([1.0, 0.0]))
+        va = phi_direct(profile, rho0 * np.array([1.0, 0.0]))
         ang = 0.576
-        vb = phi_direct(profile, k, rho0 * np.array([math.cos(ang), math.sin(ang)]))
+        vb = phi_direct(profile, rho0 * np.array([math.cos(ang), math.sin(ang)]))
     diff = abs(va - vb) / abs(va)
     checks.append(PropertyCheck("radial_symmetry", diff <= 1e-8, diff, 1e-8))
 

@@ -11,9 +11,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .errors import EvaluationError
+from .errors import EvaluationError, ToleranceError
 
 __all__ = [
+    "tail_radius",
     "gauss_legendre",
     "gauss_jacobi",
     "integrate_ball_weighted",
@@ -50,6 +51,27 @@ def angular_rule(n: int, count: int):
     theta = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
     dirs = np.column_stack([np.cos(theta), np.sin(theta)])
     return dirs, np.full(count, 2.0 * math.pi / count)
+
+
+def tail_radius(terms, start: float, tol: float) -> float:
+    """Truncation radius W of an integral over all of space.
+
+    Each (c, p) term bounds part of the tail beyond W by c W^p / (-p).  W
+    starts at ``start`` and grows by 4 until the bound is at most tol/2.
+    Raises ToleranceError when some p >= 0, or when the bound is still
+    above ``tol`` once W reaches 1e18.
+    """
+    if any(p >= 0.0 for _, p in terms):
+        raise ToleranceError("tail diverges for declared growth", math.inf, tol)
+    W = start
+    while True:
+        bound = sum(c * W ** p / -p for c, p in terms)
+        if bound <= tol / 2.0 or W >= 1e18:
+            break
+        W *= 4.0
+    if bound > tol:
+        raise ToleranceError("tail estimate above tolerance", bound, tol)
+    return W
 
 
 def gauss_legendre(count: int, breaks):

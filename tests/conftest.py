@@ -4,8 +4,8 @@ from fracmv.bump import normalize
 from fracmv.fraclap import Params
 from fracmv.kernel import build_table
 
-# Kernel tables are by far the most expensive fixture (seconds for n=1,
-# tens of seconds for n=2), so they are built once per session and shared.
+# Kernel tables are the most expensive fixture (about 0.5 s each for a
+# default grid at n=1 or n=2), so they are built once per session and shared.
 
 _TABLE_CACHE = {}
 _PROFILE_CACHE = {}

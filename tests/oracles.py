@@ -1,11 +1,13 @@
 """Independent references that only the tests use.
 
 Each one computes a quantity that fracmv computes another way: adaptive
-Simpson against the Gauss rules, the ball Poisson kernel in its defining
-form, and the ball-Poisson field as the direct sum over every shell node.
+Simpson against the Gauss rules, the extension and ball Poisson kernels in
+their defining forms, and the ball-Poisson field as the direct sum over
+every shell node.
 """
 import numpy as np
 
+from fracmv.extension import poisson_constant
 from fracmv.fraclap import _ball_poisson_normalizer, _shell_nodes
 
 
@@ -34,6 +36,20 @@ def adaptive_simpson(f, lo: float, hi: float, tol: float = 1e-13, max_depth: int
     fm = f(0.5 * (lo + hi))
     whole = simpson(lo, hi, fa, fm, fb)
     return recurse(lo, hi, fa, fm, fb, whole, tol, 0)
+
+
+def poisson_kernel(n: int, a: float, x, y: float):
+    """Extension Poisson kernel P_y(x) = C y^(1-a) (|x|^2 + y^2)^(-(n+1-a)/2).
+
+    C is ``poisson_constant(n, a)``, so the unit mass of this kernel checks
+    that constant.  ``x`` may be a single point or an array of shape (m, n).
+    """
+    x = np.asarray(x, dtype=float)
+    single = x.ndim <= 1 and x.size == n
+    r2 = (x.reshape(-1, n) ** 2).sum(axis=1)
+    vals = poisson_constant(n, a) * y ** (1.0 - a) \
+        * (r2 + y * y) ** (-0.5 * (n + 1.0 - a))
+    return float(vals[0]) if single else vals
 
 
 def ball_poisson_kernel(x, ybar, r: float, s: float):

@@ -13,12 +13,12 @@ import numpy as np
 from fracmv.analysis import (BallFamily, Domain, gradient_sharp_ratio,
                              weighted_gradient_besov_ratio)
 from fracmv.cli import _interior_points
-from fracmv.extension import ExtensionKernel, reflected_extension
+from fracmv.extension import poisson_constant, reflected_extension
 from fracmv.fraclap import Params, frac_lap, make_field
 from fracmv.kernel import (build_table, extension_mean_value, phi_r_convolve,
                            read_table, verify_kernel_properties, write_table)
 from fracmv.quadrature import integrate_ball_weighted
-from oracles import adaptive_simpson
+from oracles import adaptive_simpson, poisson_kernel
 
 FULL_MATRIX = [(1, -0.5), (1, 0.0), (1, 0.5),
                (2, -0.5), (2, 0.0), (2, 0.5)]
@@ -39,21 +39,20 @@ def _domain(n: int) -> Domain:
     return Domain.ball(np.zeros(n), 1.0)
 
 
-def _poisson_mass(k: ExtensionKernel, cut: float = 1e4) -> float:
+def _poisson_mass(n: int, a: float, cut: float = 1e4) -> float:
     """Mass of P_1 by adaptive radial quadrature plus a two-term tail."""
-    n, a = k.n, k.a
     surf = 2.0 if n == 1 else 2.0 * math.pi
     m = 0.5 * (n + 1.0 - a)
 
     def radial(u):
         x = np.zeros(n)
         x[0] = u
-        return float(k.poisson_kernel(x, 1.0)) * u ** (n - 1)
+        return poisson_kernel(n, a, x, 1.0) * u ** (n - 1)
 
     core = adaptive_simpson(radial, 0.0, 1.0, 1e-12) \
         + adaptive_simpson(radial, 1.0, cut, 1e-12)
-    tail = k.C * (cut ** (a - 1.0) / (1.0 - a)
-                  - m * cut ** (a - 3.0) / (3.0 - a))
+    tail = poisson_constant(n, a) * (cut ** (a - 1.0) / (1.0 - a)
+                                     - m * cut ** (a - 3.0) / (3.0 - a))
     return surf * (core + tail)
 
 
@@ -64,7 +63,7 @@ def test_criterion_1_normalization_chain(get_table, get_profile):
         phi_mass = integrate_ball_weighted(prof.phi, np.zeros(n + 1), 1.0, a, 96)
         if abs(phi_mass - 1.0) > 1e-8:
             failures.append(f"profile mass {phi_mass} at (n={n}, a={a})")
-        pmass = _poisson_mass(ExtensionKernel.create(n, a))
+        pmass = _poisson_mass(n, a)
         if abs(pmass - 1.0) > 1e-8:
             failures.append(f"Poisson mass {pmass} at (n={n}, a={a})")
         tmass = get_table(n, a).mass()
@@ -142,10 +141,9 @@ def test_criterion_4_extension_formula(get_profile):
              lambda x: float((x ** 2).sum())),
         ]
         if n == 1:
-            kern = ExtensionKernel.create(n, a)
             f = make_field("ball_poisson", n, s, seed=0)
-            cases.append(("ball_poisson", reflected_extension(kern, f),
-                          lambda x, f=f: f(x)))
+            ext = reflected_extension(Params(n=n, a=a), f)
+            cases.append(("ball_poisson", ext, lambda x, f=f: f(x)))
 
         for name, v, boundary in cases:
             for x in _interior_points(n, count=3):

@@ -133,7 +133,7 @@ class TestGradient:
     def test_divergent_growth_raises(self, table_n1_a0, fn, degree):
         # the gradient kernel decays like |w|^-(n+2-a) = |w|^-3, so a
         # declared growth of degree >= 2 leaves the tail not integrable
-        f = _field(fn, growth="polynomial", degree=degree)
+        f = _field(fn, degree=degree)
         with pytest.raises(ToleranceError, match="diverges"):
             gradient_of_solution(table_n1_a0, f, np.array([0.3]), 0.2)
 

@@ -162,6 +162,11 @@ class TestUsageErrors:
         "tol.mpv = 1e-3",
         "seed = -1",
         "fields = ,",
+        # out of range, though the --s flag replaces the file's a or s
+        "a = 1.5",
+        "a = nan",
+        "s = 0",
+        "s = 1.5",
         # written as the byte 0xff, which does not decode
         "n = 1\udcff",
         *BAD_FLAGS,

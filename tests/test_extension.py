@@ -5,12 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import fracmv.extension
-from fracmv.errors import FieldRejectedError
-from fracmv.extension import (ExtensionKernel, _radial_rule, extend,
-                              poisson_constant, reflected_extension)
-from fracmv.fraclap import make_field
+from fracmv.errors import FieldRejectedError, ToleranceError
+from fracmv.extension import (_radial_rule, extend, poisson_constant,
+                              reflected_extension)
+from fracmv.fraclap import Params, make_field
 from fracmv.quadrature import gauss_legendre
-from oracles import adaptive_simpson
+from oracles import adaptive_simpson, poisson_kernel
 
 
 def test_constant_classical_value():
@@ -26,72 +26,57 @@ def test_constant_against_adaptive_oracle():
     assert_allclose(1.0 / poisson_constant(1, 0.0), oracle, rtol=1e-6)
 
 
-def _kernel_mass(k, y, cut=1e4):
+def _kernel_mass(n, a, y, cut=1e4):
     """Adaptive-Simpson mass of P_y with an analytic two-term tail."""
-    n, a = k.n, k.a
     surf = 2.0 if n == 1 else 2.0 * math.pi
     m = 0.5 * (n + 1.0 - a)
 
     def radial(u):
         x = np.zeros(n)
         x[0] = y * u
-        return float(k.poisson_kernel(x, y)) * u ** (n - 1)
+        return poisson_kernel(n, a, x, y) * u ** (n - 1)
 
     core = adaptive_simpson(radial, 0.0, 1.0, 1e-12) \
         + adaptive_simpson(radial, 1.0, cut, 1e-12)
-    tail = k.C * (cut ** (a - 1.0) / (1.0 - a) - m * cut ** (a - 3.0) / (3.0 - a))
+    tail = poisson_constant(n, a) * (cut ** (a - 1.0) / (1.0 - a)
+                                     - m * cut ** (a - 3.0) / (3.0 - a))
     return surf * (y ** n * core + tail)
 
 
 @pytest.mark.parametrize("n,a", [(1, 0.0), (1, 0.5), (1, -0.5), (2, 0.3)])
 def test_unit_mass_at_several_heights(n, a):
-    k = ExtensionKernel.create(n, a)
     for y in (0.1, 1.0, 10.0):
-        assert_allclose(_kernel_mass(k, y), 1.0, atol=1e-8)
+        assert_allclose(_kernel_mass(n, a, y), 1.0, atol=1e-8)
 
 
 def test_kernel_classical_point_value():
-    k = ExtensionKernel.create(1, 0.0)
-    assert_allclose(k.poisson_kernel(np.array([1.0]), 1.0), 1.0 / (2.0 * math.pi),
-                    rtol=1e-12)
+    assert_allclose(poisson_kernel(1, 0.0, np.array([1.0]), 1.0),
+                    1.0 / (2.0 * math.pi), rtol=1e-12)
 
 
 def test_kernel_value_at_origin_is_constant():
-    k = ExtensionKernel.create(2, 0.4)
-    assert_allclose(k.poisson_kernel(np.zeros(2), 1.0), k.C, rtol=1e-14)
+    assert_allclose(poisson_kernel(2, 0.4, np.zeros(2), 1.0),
+                    poisson_constant(2, 0.4), rtol=1e-14)
 
 
 def test_kernel_scaling_homogeneity():
-    k = ExtensionKernel.create(1, 0.5)
     x, y, r = 0.7, 0.4, 2.0
-    lhs = k.poisson_kernel(np.array([r * x]), r * y)
-    rhs = r ** -1 * k.poisson_kernel(np.array([x]), y)
+    lhs = poisson_kernel(1, 0.5, np.array([r * x]), r * y)
+    rhs = r ** -1 * poisson_kernel(1, 0.5, np.array([x]), y)
     assert_allclose(lhs, rhs, rtol=1e-12)
 
 
-def test_kernel_rejects_nonpositive_height():
-    k = ExtensionKernel.create(1, 0.0)
-    with pytest.raises(ValueError):
-        k.poisson_kernel(np.array([0.0]), 0.0)
-
-
-def test_kernel_stable_at_large_argument():
-    k = ExtensionKernel.create(1, 0.5)
-    val = k.poisson_kernel(np.array([1e8]), 1.0)
-    assert np.isfinite(val) and val > 0.0
-
-
 def test_extend_constant_field():
-    k = ExtensionKernel.create(1, 0.3)
-    f = make_field("constant", 1, k.s)
+    p = Params(n=1, a=0.3)
+    f = make_field("constant", 1, p.s)
     for y in (0.2, 1.0, 5.0):
-        assert_allclose(extend(k, f, np.array([0.4]), y), 1.0, atol=1e-8)
+        assert_allclose(extend(p, f, np.array([0.4]), y), 1.0, atol=1e-8)
 
 
 def test_extend_even_in_y():
-    k = ExtensionKernel.create(1, 0.0)
-    f = make_field("gaussian", 1, k.s)
-    v = reflected_extension(k, f)
+    p = Params(n=1, a=0.0)
+    f = make_field("gaussian", 1, p.s)
+    v = reflected_extension(p, f)
     up = v(np.array([[0.2, 0.3]]))
     down = v(np.array([[0.2, -0.3]]))
     assert up[0] == down[0]
@@ -99,32 +84,48 @@ def test_extend_even_in_y():
 
 def test_extend_affine_identity():
     # odd moment of the symmetric kernel vanishes, so v(x, y) = x
-    k = ExtensionKernel.create(1, -0.5)  # s = 0.75
-    f = make_field("affine", 1, k.s)
-    assert_allclose(extend(k, f, np.array([0.3]), 0.7), 0.3, atol=1e-6)
+    p = Params(n=1, a=-0.5)  # s = 0.75
+    f = make_field("affine", 1, p.s)
+    assert_allclose(extend(p, f, np.array([0.3]), 0.7), 0.3, atol=1e-6)
 
 
 def test_extend_rejects_bad_growth():
-    k = ExtensionKernel.create(1, 0.5)  # s = 0.25, degree 1 not integrable
+    p = Params(n=1, a=0.5)  # s = 0.25, degree 1 not integrable
     f = make_field("affine", 1, 0.75)
     with pytest.raises(FieldRejectedError):
-        extend(k, f, np.array([0.0]), 1.0)
+        extend(p, f, np.array([0.0]), 1.0)
+
+
+def test_extend_tail_counts_fractional_growth():
+    # xplus_s has degree s in (0, 1); its growth term must enter the tail
+    # bound, so tightening tol moves the value by no more than tol
+    x = np.array([[0.3], [-0.4]])
+    for a in (-0.5, -0.9):
+        p = Params(n=1, a=a)
+        f = make_field("xplus_s", 1, p.s)
+        coarse = extend(p, f, x, 0.5, tol=1e-8)
+        fine = extend(p, f, x, 0.5, tol=1e-10)
+        assert np.max(np.abs(coarse - fine)) <= 1e-8
+    # at s = 0.25 the growth tail is still above tol at the largest W
+    p = Params(n=1, a=0.5)
+    with pytest.raises(ToleranceError, match="above tolerance"):
+        extend(p, make_field("xplus_s", 1, p.s), x, 0.5, tol=1e-8)
 
 
 def test_extend_converges_to_boundary_data():
-    k = ExtensionKernel.create(1, 0.2)
-    f = make_field("gaussian", 1, k.s)
+    p = Params(n=1, a=0.2)
+    f = make_field("gaussian", 1, p.s)
     x = np.array([0.3])
-    errs = [abs(extend(k, f, x, y) - f(x)) for y in (1e-1, 1e-2, 1e-3)]
+    errs = [abs(extend(p, f, x, y) - f(x)) for y in (1e-1, 1e-2, 1e-3)]
     assert errs[0] > errs[1] > errs[2]
     # the boundary limit is attained at rate y^(2s); only the trend is asserted
     assert errs[2] < 1e-2
 
 
 def test_extend_at_zero_height_returns_field():
-    k = ExtensionKernel.create(1, 0.0)
-    f = make_field("gaussian", 1, k.s)
-    assert extend(k, f, np.array([0.25]), 0.0) == f(np.array([0.25]))
+    p = Params(n=1, a=0.0)
+    f = make_field("gaussian", 1, p.s)
+    assert extend(p, f, np.array([0.25]), 0.0) == f(np.array([0.25]))
 
 
 @pytest.mark.parametrize("W", [0.75, 64.0, 1e6, 3.0e17])
@@ -143,19 +144,19 @@ def test_radial_rule_matches_panel_loop(W):
 
 
 def test_reflected_extension_evaluates_mirrored_rows_once(monkeypatch):
-    k = ExtensionKernel.create(1, 0.3)
-    f = make_field("ball_poisson", 1, k.s, seed=1)  # bounded: W ignores the batch
+    p = Params(n=1, a=0.3)
+    f = make_field("ball_poisson", 1, p.s, seed=1)  # bounded: W ignores the batch
     received = []
     real_extend = fracmv.extension.extend
 
-    def recording_extend(k_, f_, x, y, tol=1e-8):
+    def recording_extend(p_, f_, x, y, tol=1e-8):
         received.append((np.array(x, copy=True), y))
-        return real_extend(k_, f_, x, y, tol=tol)
+        return real_extend(p_, f_, x, y, tol=tol)
 
     monkeypatch.setattr(fracmv.extension, "extend", recording_extend)
     xs = np.linspace(-0.6, 0.6, 5)
     points = np.array([[x, y] for y in (-0.25, -0.1, 0.1, 0.25) for x in xs])
-    v = reflected_extension(k, f)
+    v = reflected_extension(p, f)
     values = v(points)
 
     # one extend per |y|, on the distinct x rows of that height

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fracmv.errors import TableMismatchError
-from fracmv.extension import ExtensionKernel
 from fracmv.fraclap import Params, make_field
 from fracmv.kernel import (DEFAULT_GRID, SUPPORT_RADIUS, build_table,
                            extension_mean_value, phi_direct, phi_r_convolve,
@@ -37,12 +36,11 @@ class TestTableStructure:
         # rho = 1 its own angular rule drifts (n = 2: 2.5e-7 at rho = 1.5,
         # 8e-6 at 1.93), so the nodes stop at 0.8125
         t = get_table(n, 0.0)
-        k = ExtensionKernel.create(n, 0.0)
         for i in (0, 16, 32, 48, 64, 80, 96, 104):
             rho = t.rho_grid[i]
             x = np.zeros(n)
             x[0] = rho
-            assert_allclose(t.phi_values[i], phi_direct(t.profile, k, x),
+            assert_allclose(t.phi_values[i], phi_direct(t.profile, x),
                             rtol=5e-8, err_msg=f"rho={rho}")
 
     def test_tail_extension_continuous_at_grid_edge(self, table_n1_a0):
@@ -66,16 +64,14 @@ class TestTableStructure:
 class TestRotationalSymmetry:
     def test_reflection_n1(self, get_profile):
         prof = get_profile(1, 0.0)
-        k = ExtensionKernel.create(1, 0.0)
-        va = phi_direct(prof, k, np.array([0.45]))
-        vb = phi_direct(prof, k, np.array([-0.45]))
+        va = phi_direct(prof, np.array([0.45]))
+        vb = phi_direct(prof, np.array([-0.45]))
         assert_allclose(va, vb, rtol=1e-10)
 
     def test_rotation_n2(self, get_profile):
         prof = get_profile(2, 0.0)
-        k = ExtensionKernel.create(2, 0.0)
         rho = 0.6
-        vals = [phi_direct(prof, k, rho * np.array([math.cos(t), math.sin(t)]))
+        vals = [phi_direct(prof, rho * np.array([math.cos(t), math.sin(t)]))
                 for t in (0.0, 0.7, 2.1)]
         assert_allclose(vals[1], vals[0], rtol=1e-8)
         assert_allclose(vals[2], vals[0], rtol=1e-8)
@@ -179,9 +175,8 @@ class TestExtensionMeanValue:
         from fracmv.extension import reflected_extension
 
         prof = get_profile(1, 0.0)
-        k = ExtensionKernel.create(1, 0.0)
         f = make_field("ball_poisson", 1, 0.5, seed=6)
-        v = reflected_extension(k, f)
+        v = reflected_extension(Params(n=1, a=0.0), f)
         x = np.array([0.2])
         val = extension_mean_value(prof, v, x, 0.1)
         assert_allclose(val, f(x), atol=5e-4)

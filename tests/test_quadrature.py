@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fracmv.errors import EvaluationError
+from fracmv.errors import EvaluationError, ToleranceError
 from fracmv.quadrature import (_ball_y_rule, gauss_legendre,
-                               integrate_ball_weighted)
+                               integrate_ball_weighted, tail_radius)
 from oracles import adaptive_simpson
 
 
@@ -63,6 +63,21 @@ def test_composite_rule_is_concatenated_panel_rules(count):
     assert np.array_equal(x, np.concatenate([p[0] for p in panels]))
     assert np.array_equal(w, np.concatenate([p[1] for p in panels]))
     assert_allclose(w @ x, (breaks[-1] ** 2 - breaks[0] ** 2) / 2.0, rtol=1e-13)
+
+
+@pytest.mark.parametrize("terms,expected", [
+    # 2 W^-1/2 / (1/2) <= 5e-3 needs W >= 640000: 10 * 4^8, not 10 * 4^7
+    ([(2.0, -0.5)], 655360.0),
+    ([(1.0, -1.0), (1.0, 0.0)], "diverges"),
+    # W^-0.01 / 0.01 is still about 66 at W = 1e18
+    ([(1.0, -0.01)], "above tolerance"),
+])
+def test_tail_radius(terms, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ToleranceError, match=expected):
+            tail_radius(terms, 10.0, 1e-2)
+    else:
+        assert tail_radius(terms, 10.0, 1e-2) == expected
 
 
 def test_ball_y_rule_weight_sum():

@@ -12,7 +12,9 @@ when i is even and the work tree first when i is odd.  Each run's facts
 line, its named metric lines and its final JSON line go into ``--out``; an
 existing file is extended, so several workloads can share one.
 The summary gives each side's median and quartiles of every end-to-end
-metric and the number of pairs the work tree won.
+metric and the number of pairs the work tree won.  It uses only the runs
+whose ``revision`` equals that of the newest run on the same side, and
+stores the number of runs it left out as ``excluded_runs``.
 
 Each run's ``revision`` names the code it measured: the base commit for a
 base run, and HEAD, whether src/ or perfbench/ differ from it, and the
@@ -70,10 +72,14 @@ def run_once(tree: Path, command, workload: str, seed: int, seconds: float,
 def summarize(runs, spec) -> dict:
     summary = {}
     for wl in sorted({r["workload"] for r in runs if r["trace"] == 0}):
+        wl_runs = [r for r in runs if r["workload"] == wl and r["trace"] == 0]
+        # each side's newest revision only: an extended file may hold runs of
+        # an older base commit or work-tree source
+        newest = {r["side"]: r.get("revision") for r in wl_runs}
+        kept = [r for r in wl_runs if r.get("revision") == newest[r["side"]]]
         pairs = {}
-        for r in runs:
-            if r["workload"] == wl and r["trace"] == 0:
-                pairs.setdefault(r["pair"], {})[r["side"]] = r["result"]["metrics"]
+        for r in kept:
+            pairs.setdefault(r["pair"], {})[r["side"]] = r["result"]["metrics"]
         pairs = [p for p in pairs.values() if len(p) == 2]
         rows = {}
         for m in spec["end_to_end"]:
@@ -87,7 +93,7 @@ def summarize(runs, spec) -> dict:
             wins = sum(sign * (p["work"][m["name"]]["value"]
                                - p["base"][m["name"]]["value"]) < 0 for p in pairs)
             rows[m["name"]] = {**side, "work_wins": wins, "pairs": len(pairs)}
-        summary[wl] = rows
+        summary[wl] = {**rows, "excluded_runs": len(wl_runs) - len(kept)}
     return summary
 
 
