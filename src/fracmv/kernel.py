@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .bump import SUPPORT_LO, BumpProfile, eta_raw, eta_raw_prime, normalize
 from .errors import TableMismatchError, ToleranceError
@@ -188,6 +187,73 @@ def phi_direct(profile: BumpProfile, x) -> float:
     return 2.0 * profile.kappa * (acc + rem * eta_raw(rho))
 
 
+class _CubicSpline:
+    """Not-a-knot cubic spline through (x, y), as scipy's CubicSpline.
+
+    Two points give the line and three the parabola through them.  Raises
+    ValueError unless x is strictly increasing and x, y are finite.
+    """
+
+    def __init__(self, x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape or x.size < 2:
+            raise ValueError(f"need 1-d x and y of one length >= 2, got "
+                             f"{x.shape} and {y.shape}")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("x and y must be finite")
+        dx = np.diff(x)
+        if not np.all(dx > 0.0):
+            raise ValueError("x must be strictly increasing")
+        m = np.diff(y) / dx
+        if x.size == 2:
+            s = np.array([m[0], m[0]])
+        elif x.size == 3:
+            q = (m[1] - m[0]) / (x[2] - x[0])
+            s = m[0] + q * np.array([-dx[0], dx[0], dx[0] + 2.0 * dx[1]])
+        else:
+            s = self._slopes(dx, m)
+        t = (s[:-1] + s[1:] - 2.0 * m) / dx
+        self.x = x
+        self.coef = np.stack([t / dx, (m - s[:-1]) / dx - t, s[:-1], y[:-1]])
+
+    @staticmethod
+    def _slopes(dx, m):
+        # the tridiagonal system for the slopes, with the not-a-knot rows at
+        # both ends, solved by elimination without pivoting: every pivot
+        # after the first row is dominant
+        d0, d1 = dx[0] + dx[1], dx[-1] + dx[-2]
+        diag = [dx[1], *(2.0 * (dx[:-1] + dx[1:])), dx[-2]]
+        upper = [d0, *dx[:-1]]
+        lower = [*dx[1:], d1]
+        rhs = [((dx[0] + 2.0 * d0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d0,
+               *(3.0 * (dx[1:] * m[:-1] + dx[:-1] * m[1:])),
+               (dx[-1] ** 2 * m[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * m[-1]) / d1]
+        for i in range(1, len(diag)):
+            f = lower[i - 1] / diag[i - 1]
+            diag[i] -= f * upper[i - 1]
+            rhs[i] -= f * rhs[i - 1]
+        s = rhs
+        s[-1] /= diag[-1]
+        for i in range(len(diag) - 2, -1, -1):
+            s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+        return np.array(s)
+
+    def __call__(self, r, derivative: bool = False):
+        """Values, or first derivatives, at the points of the array r."""
+        # piece i spans [x[i], x[i+1]); the end pieces extend outward
+        i = np.searchsorted(self.x[1:-1], r, side="right")
+        h = r - self.x[i]
+        c3, c2, c1, c0 = np.take(self.coef, i, axis=1)
+        if derivative:
+            return (3.0 * c3 * h + 2.0 * c2) * h + c1
+        out = c3 * h
+        for c in (c2, c1):
+            out += c
+            out *= h
+        out += c0
+        return out
+
+
 @dataclass
 class RadialKernelTable:
     """Tabulated radial profile of the kernel and its derivative."""
@@ -200,8 +266,8 @@ class RadialKernelTable:
     build_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._phi_spline = CubicSpline(self.rho_grid, self.phi_values)
-        self._psi_spline = CubicSpline(self.rho_grid, self.psi_profile)
+        self._phi_spline = _CubicSpline(self.rho_grid, self.phi_values)
+        self._psi_spline = _CubicSpline(self.rho_grid, self.psi_profile)
 
     @property
     def rmax(self) -> float:
@@ -450,9 +516,9 @@ def _grad_psi_sup(table: RadialKernelTable, stride: int = 1) -> float:
     """Bound for sup |grad Psi^i| from the tabulated radial derivative."""
     grid = table.rho_grid[::stride]
     psi = table.psi_profile[::stride]
-    spline = CubicSpline(grid, psi)
+    spline = _CubicSpline(grid, psi)
     sample = np.linspace(grid[0], grid[-1], 2001)[1:]
-    d2 = np.abs(spline(sample, 1))
+    d2 = np.abs(spline(sample, derivative=True))
     ratio = np.abs(spline(sample) / sample)
     return float(np.max(d2 + ratio))
 

@@ -9,7 +9,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import EvaluationError, ToleranceError
 
@@ -28,10 +27,33 @@ def _leggauss(count: int):
     return np.polynomial.legendre.leggauss(count)
 
 
+def _jacobi(count: int, a: float, t):
+    """Jacobi polynomial P_count^(0,a) and its derivative at t."""
+    p0, p1 = np.ones_like(t), 0.5 * ((a + 2.0) * t - a)
+    d0, d1 = np.zeros_like(t), np.full_like(t, 0.5 * (a + 2.0))
+    for m in range(2, count + 1):
+        c = 2.0 * m + a
+        lin = (c - 1.0) * (c * (c - 2.0) * t - a * a)
+        back = 2.0 * (m - 1.0) * (m + a - 1.0) * c
+        den = 2.0 * m * (m + a) * (c - 2.0)
+        p0, p1, d0, d1 = p1, (lin * p1 - back * p0) / den, d1, (
+            lin * d1 + (c - 1.0) * c * (c - 2.0) * p1 - back * d0) / den
+    return p1, d1
+
+
 @lru_cache(maxsize=256)
 def _jacgauss(count: int, a: float):
-    # weight (1+t)^a on [-1, 1]
-    return roots_jacobi(count, 0.0, a)
+    # weight (1+t)^a on [-1, 1]: Golub-Welsch eigenvalues of the Jacobi
+    # matrix of P^(0,a), one Newton step, then the closed-form weights
+    k = np.arange(1, count, dtype=float)
+    s = 2.0 * k + a
+    diag = np.concatenate([[a / (a + 2.0)], a * a / (s * (s + 2.0))])
+    off = 2.0 * k * (k + a) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
+    t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    p, dp = _jacobi(count, a, t)
+    t = t - p / dp
+    _, dp = _jacobi(count, a, t)
+    return t, 2.0 ** (a + 1.0) / ((1.0 - t) * (1.0 + t) * dp * dp)
 
 
 def sphere_area(n: int) -> float:
@@ -97,9 +119,11 @@ def gauss_jacobi(count: int, a: float, hi: float):
     """Gauss-Jacobi rule for int_0^hi t^a f(t) dt, a > -1.
 
     Maps the cached ``count``-point rule of weight (1+t)^a on [-1, 1] as
-    hi*(1+t)/2.  scipy's ``roots_jacobi`` loses accuracy as a -> -1: the
-    relative error of the first moment int_0^1 t^a t dt is 3e-11 at 32 nodes
-    and 8e-10 at 64 for a = -0.99, and at most 2e-13 for a = -0.5.
+    hi*(1+t)/2.  For 2 to 64 nodes the relative error of the moments
+    int_0^hi t^(a+j) dt, j < 2*count, is at most 2e-14 for a >= -0.5.  At
+    a = -0.99 it is 6e-12 at 32 nodes and 1e-11 at 48: the first node lies
+    near 1e-5 hi, where the rounding of t next to -1 is relatively large, and
+    that sets the error of the zeroth moment; the others stay below 2e-15.
     """
     t, w = _jacgauss(count, a)
     return hi * (1.0 + t) / 2.0, (hi / 2.0) ** (1.0 + a) * w

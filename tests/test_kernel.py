@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.interpolate import CubicSpline
 
 from fracmv.errors import TableMismatchError
 from fracmv.fraclap import Params, make_field
-from fracmv.kernel import (DEFAULT_GRID, SUPPORT_RADIUS, build_table,
+from fracmv.kernel import (DEFAULT_GRID, SUPPORT_RADIUS, _CubicSpline, build_table,
                            extension_mean_value, phi_direct, phi_r_convolve,
                            psi_component, read_table, verify_kernel_properties,
                            write_table)
@@ -180,6 +181,47 @@ class TestExtensionMeanValue:
         x = np.array([0.2])
         val = extension_mean_value(prof, v, x, 0.1)
         assert_allclose(val, f(x), atol=5e-4)
+
+
+def _assert_spline_matches_scipy(x, y, r):
+    # value and first derivative, each within 1e-15 of its largest size
+    ours, ref = _CubicSpline(x, y), CubicSpline(x, y)
+    for deriv in (False, True):
+        expected = ref(r, int(deriv))
+        assert np.max(np.abs(ours(r, deriv) - expected)) <= (
+            1e-15 * np.max(np.abs(expected)))
+
+
+class TestSpline:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_scipy_on_default_grid(self, get_table, n):
+        t = get_table(n, 0.0)
+        r = np.concatenate([t.rho_grid, np.linspace(0.0, t.rmax, 20001)])
+        for values in (t.phi_values, t.psi_profile):
+            _assert_spline_matches_scipy(t.rho_grid, values, r)
+            # each piece starts from its node value, so the nodes are exact
+            ours = _CubicSpline(t.rho_grid, values)
+            assert np.array_equal(ours(t.rho_grid[:-1]), values[:-1])
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_matches_scipy_on_few_nodes(self, size):
+        # two nodes give the line and three the parabola through them
+        x = np.array([0.0, 0.3, 1.1, 2.0])[:size]
+        y = np.array([1.0, -0.5, 0.25, 2.0])[:size]
+        _assert_spline_matches_scipy(x, y, np.linspace(-0.5, 2.5, 61))
+
+    @pytest.mark.parametrize("x,y", [
+        ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]),   # a repeated node
+        ([0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 2.0, 3.0]),   # a decreasing step
+        ([0.0, 1.0, 2.0, 3.0], [0.0, math.nan, 2.0, 3.0]),
+        ([0.0, 1.0, math.inf], [0.0, 1.0, 2.0]),
+        ([0.0, 1.0, 2.0], [0.0, 1.0]),
+        ([0.0], [1.0]),
+    ])
+    def test_rejects_bad_nodes(self, x, y):
+        # read_table relies on this to reject a radial grid it cannot use
+        with pytest.raises(ValueError):
+            _CubicSpline(x, y)
 
 
 class TestPersistence:

@@ -1,6 +1,9 @@
 """Module boundaries of the package source."""
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,3 +80,14 @@ def test_gauss_rules_built_in_quadrature_only(path):
     names |= {alias.name for node in ast.walk(tree)
               if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert names.isdisjoint({"roots_jacobi", "leggauss"})
+
+
+def test_cli_import_loads_no_scipy():
+    # every command starts a fresh interpreter, and importing scipy took
+    # about two thirds of the package's start-up; scipy is a test oracle only
+    code = ("import fracmv.cli; import sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
