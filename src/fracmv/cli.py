@@ -126,11 +126,11 @@ def _apply_config_key(cfg: RunConfig, key: str, val: str):
         defaults = DEFAULT_TOLERANCES if section == "tol" else DEFAULT_GRID
         if name not in defaults:
             raise UsageError(f"unknown config key {key!r}")
-        # each value keeps the type of its default; rmax must lie beyond the
-        # dense grid on [0, 2], which needs both of its end points; every
-        # other value must be positive
+        # each value keeps the type of its default; the dense grid on
+        # [0, 2] needs both of its end points, and every other value must
+        # be positive
         value = type(defaults[name])(val)
-        low = {"grid.rmax": 2.0, "grid.dense_points": 1}.get(key, 0)
+        low = 1 if key == "grid.dense_points" else 0
         if not low < value < math.inf:
             raise UsageError(f"config key {key!r}: {value} is out of range")
         (cfg.tolerances if section == "tol" else cfg.grid)[name] = value
@@ -231,6 +231,11 @@ def _interior_points(n: int, count: int = 5) -> np.ndarray:
     return pts[:count]
 
 
+def _integrable(f, s: float) -> bool:
+    # the tails of Phi and of the extension kernel decay like |x|^-(n+2s)
+    return f.degree < 2.0 * s
+
+
 def cmd_mvp(cfg: RunConfig) -> int:
     table = _load_table(cfg)
     params = table.params
@@ -240,10 +245,11 @@ def cmd_mvp(cfg: RunConfig) -> int:
     worst = 0.0
     failed = False
     for name in cfg.fields:
-        if name == "affine" and params.s <= 0.5:
-            print(f"skipping affine: degree 1 not integrable at s={params.s}")
-            continue
         f = make_field(name, params.n, params.s, seed=cfg.seed)
+        if not _integrable(f, params.s):
+            print(f"skipping {name}: degree {f.degree} not integrable "
+                  f"at s={params.s}")
+            continue
         for x in _interior_points(params.n):
             delta = domain.distance_to_boundary(x)
             fx = f(x)
@@ -270,9 +276,9 @@ def cmd_extension(cfg: RunConfig) -> int:
     rows = ["field_id,x,r,value,residual,kind"]
     failed = False
     for name in cfg.fields:
-        if name == "affine" and params.s <= 0.5:
-            continue
         f = make_field(name, params.n, params.s, seed=cfg.seed)
+        if not _integrable(f, params.s):
+            continue
         v = reflected_extension(params, f)
         for x in _interior_points(params.n, count=3):
             delta = domain.distance_to_boundary(x)

@@ -53,10 +53,11 @@ __all__ = [
 
 SUPPORT_RADIUS = 0.75
 
+RMAX = 16.0  # end of the radial grid
+
 DEFAULT_GRID = {
     "dense_points": 257,   # uniform nodes on [0, 2]
-    "geo_points": 128,     # geometric nodes on (2, rmax]
-    "rmax": 16.0,
+    "geo_points": 128,     # geometric nodes on (2, RMAX]
 }
 
 D_JACOBI = 32   # Gauss-Jacobi nodes of the first distance panel (weight d^a)
@@ -296,20 +297,21 @@ class RadialKernelTable:
                                  self.params.n + 2.0 - self.params.a, rho)
 
     def mass(self) -> float:
-        """Surface-weighted trapezoidal mass plus the analytic tail."""
+        """Surface-weighted integral of the kernel that ``phi_of`` evaluates.
+
+        The cubic pieces are integrated exactly on [0, rmax] and the
+        power-law tail beyond it in closed form.
+        """
         n, a = self.params.n, self.params.a
-        trapezoid = getattr(np, "trapezoid", None) or np.trapz
-        core = trapezoid(self.phi_values * self.rho_grid ** (n - 1), self.rho_grid)
-        # two-term power-law tail c1 rho^-p + c2 rho^-(p+2), fitted at rmax/2
-        # and rmax; the leading exponent p = n+1-a is authoritative
+        x0, dx = self.rho_grid[:-1], np.diff(self.rho_grid)
+        coef = self._phi_spline.coef
+        k = np.arange(4.0, 0.0, -1.0)[:, None]  # 1 + the power of each row
+        core = coef * dx ** k / k
+        if n == 2:  # weight rho = x0 + h on each piece
+            core = x0 * core + coef * dx ** (k + 1.0) / (k + 1.0)
         p = n + 1.0 - a
-        ra, rb = 0.5 * self.rmax, self.rmax
-        fa, fb = self.phi_of(ra), self.phi_of(rb)
-        det = ra ** -p * rb ** -(p + 2.0) - rb ** -p * ra ** -(p + 2.0)
-        c1 = (fa * rb ** -(p + 2.0) - fb * ra ** -(p + 2.0)) / det
-        c2 = (fb * ra ** -p - fa * rb ** -p) / det
-        tail = c1 * rb ** (n - p) / (p - n) + c2 * rb ** (n - p - 2.0) / (p + 2.0 - n)
-        return sphere_area(n) * (core + tail)
+        tail = self.phi_values[-1] * self.rmax ** n / (p - n)
+        return sphere_area(n) * (float(core.sum()) + tail)
 
 
 def build_table(params: Params, grid_spec: dict | None = None) -> RadialKernelTable:
@@ -325,7 +327,7 @@ def build_table(params: Params, grid_spec: dict | None = None) -> RadialKernelTa
     profile = normalize(params.n, params.a)
     C = poisson_constant(params.n, params.a)
     dense = np.linspace(0.0, 2.0, grid["dense_points"])
-    geo = 2.0 * (grid["rmax"] / 2.0) ** (
+    geo = 2.0 * (RMAX / 2.0) ** (
         np.arange(1, grid["geo_points"] + 1) / grid["geo_points"])
     rho_grid = np.concatenate([dense, geo])
     phi = np.empty_like(rho_grid)

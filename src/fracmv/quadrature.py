@@ -148,13 +148,12 @@ def _ball_y_rule(a: float, radius: float, resolution: int):
 def integrate_ball_weighted(g, center, radius: float, a: float, resolution: int) -> float:
     """Integrate ``g`` against |y|^a over a ball in R^{n+1}.
 
-    ``g`` is evaluated in batches: it receives an array of shape (m, n+1)
-    and must return an array of shape (m,).  The last coordinate is y; the
-    center must lie on the hyperplane y = 0 so the Jacobi rule in y applies.
-    The ball indicator is absorbed by restricting the x-range to the slice
-    width at each y node.  The y-rule is symmetric, so the lines at -y and
-    +y share their x nodes: each ``g`` call holds both mirrored lines, the
-    one at -y first, with equal x columns.
+    ``g`` is called once, with every node of the rule: it receives an array
+    of shape (m, n+1) and must return an array of shape (m,).  The last
+    coordinate is y; the center must lie on the hyperplane y = 0 so the
+    Jacobi rule in y applies.  The ball indicator is absorbed by restricting
+    each x coordinate to the chord through the nodes before it: the y-rule
+    times a ``resolution``-point Gauss-Legendre rule on each chord.
     """
     center = np.asarray(center, dtype=float)
     n = center.size - 1
@@ -164,46 +163,25 @@ def integrate_ball_weighted(g, center, radius: float, a: float, resolution: int)
         raise ValueError(f"radius must be positive, got {radius}")
     if center[-1] != 0.0:
         raise ValueError("ball center must lie on the hyperplane y=0")
-    ynodes, yweights = _ball_y_rule(a, radius, resolution)
-
-    def mirrored_sums(xcols, y, weights):
-        # weighted sums of g over the x line at -y and at +y
-        m = len(weights)
-        pts = np.empty((2 * m, n + 1))
-        pts[:m, :-1] = xcols
-        pts[m:, :-1] = xcols
-        pts[:m, -1] = -y
-        pts[m:, -1] = y
-        vals = np.asarray(g(pts), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise EvaluationError(pts[~np.isfinite(vals)][0])
-        return float(weights @ vals[:m]), float(weights @ vals[m:])
-
-    below = np.zeros(len(ynodes))
-    above = np.zeros(len(ynodes))
-    for j, y in enumerate(ynodes):
-        s = radius * radius - y * y
-        if s <= 0.0:
-            continue
-        s = np.sqrt(s)
-        x1, w1 = gauss_legendre(resolution, (center[0] - s, center[0] + s))
-        if n == 1:
-            below[j], above[j] = mirrored_sums(x1[:, None], y, w1)
-        else:
-            for u, wu in zip(x1, w1):
-                s2 = s * s - (u - center[0]) ** 2
-                if s2 <= 0.0:
-                    continue
-                s2 = np.sqrt(s2)
-                x2, w2 = gauss_legendre(resolution, (center[1] - s2, center[1] + s2))
-                xcols = np.column_stack([np.full(x2.size, u), x2])
-                lo, hi = mirrored_sums(xcols, y, w2)
-                below[j] += wu * lo
-                above[j] += wu * hi
-    # accumulate the slices in the order of y from -R to R
-    total = 0.0
-    for wy, val in zip(yweights[::-1], below[::-1]):
-        total += wy * val
-    for wy, val in zip(yweights, above):
-        total += wy * val
-    return total
+    y, wy = _ball_y_rule(a, radius, resolution)
+    t, wt = _leggauss(resolution)
+    cols = [np.concatenate([-y[::-1], y])]
+    w = np.concatenate([wy[::-1], wy])
+    # squared half-chord of the ball on the next axis, at each node so far
+    chord2 = radius * radius - cols[0] ** 2
+    for c in center[:-1]:
+        # gauss_legendre's map onto (c - s, c + s), node for node
+        s = np.sqrt(chord2)[..., None]
+        lo, hi = c - s, c + s
+        half = 0.5 * (hi - lo)
+        x = 0.5 * (lo + hi) + half * t
+        w = w[..., None] * (half * wt)
+        chord2 = s * s - (x - c) ** 2
+        cols = [col[..., None] for col in cols] + [x]
+    pts = np.stack(np.broadcast_arrays(*cols[1:], cols[0]), axis=-1)
+    pts = pts.reshape(-1, n + 1)
+    vals = np.asarray(g(pts), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise EvaluationError(pts[~np.isfinite(vals)][0])
+    # a pairwise sum: its rounding grows like log m, not m
+    return float(np.sum(w.ravel() * vals))

@@ -144,12 +144,10 @@ class TestUsageErrors:
         "tol.mvp = small",
         "grid.dense_points = 1e1",
         "grid.bogus = 3",
-        "grid.rmax = 1.5",
-        "grid.rmax = 2",
-        "grid.rmax = inf",
         "grid.dense_points = 1",
         "grid.geo_points = 0",
         # keys that DEFAULT_GRID no longer has exit 2 as unknown keys
+        "grid.rmax = 2",
         "grid.y_panels = 0",
         "grid.y_nodes = 0",
         "grid.radial_nodes = -1",
@@ -184,16 +182,6 @@ class TestUsageErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-
-
-def test_grid_value_in_exponent_form(tmp_path, coarse_config):
-    cfg = tmp_path / "rmax.cfg"
-    cfg.write_text(COARSE + "grid.rmax = 1e1\n")
-    path = tmp_path / "table.txt"
-    assert main(["kernel", "build", "--s", "0.5", "--config", str(cfg),
-                 "--table", str(path)]) == 0
-    table = read_table(path)
-    assert table.rmax == 10.0 and table.build_meta["rmax"] == 10.0
 
 
 class TestIOErrors:
@@ -237,6 +225,16 @@ class TestMalformedTable:
         path = tmp_path / "meta.txt"
         path.write_text(_sealed(text))
         assert read_table(path).build_meta["probe"] == "2**3"
+
+    def test_table_recording_rmax_reads(self, table_file, tmp_path):
+        # tables written while grid.rmax was a key record it; they still read
+        text = open(table_file).read().replace(
+            "built_with=", "built_with=rmax:16.0;", 1)
+        path = tmp_path / "old.txt"
+        path.write_text(_sealed(text))
+        table = read_table(path)
+        assert table.build_meta["rmax"] == 16.0 and table.rmax == 16.0
+        assert main(["mvp", "--table", str(path), "--out", str(tmp_path)]) == 0
 
     def test_resealed_copy_reads_back(self, table_file, tmp_path):
         # the test helper writes the same digest line as write_table

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import fracmv.extension
 from fracmv.errors import FieldRejectedError, ToleranceError
-from fracmv.extension import (_radial_rule, extend, poisson_constant,
-                              reflected_extension)
+from fracmv.extension import (EXTEND_ROWS, _radial_rule, extend,
+                              poisson_constant, reflected_extension)
 from fracmv.fraclap import Params, make_field
 from fracmv.quadrature import gauss_legendre
 from oracles import adaptive_simpson, poisson_kernel
@@ -150,18 +152,39 @@ def test_reflected_extension_evaluates_mirrored_rows_once(monkeypatch):
     real_extend = fracmv.extension.extend
 
     def recording_extend(p_, f_, x, y, tol=1e-8):
-        received.append((np.array(x, copy=True), y))
+        received.append(np.column_stack([x, y]))
         return real_extend(p_, f_, x, y, tol=tol)
 
     monkeypatch.setattr(fracmv.extension, "extend", recording_extend)
-    xs = np.linspace(-0.6, 0.6, 5)
-    points = np.array([[x, y] for y in (-0.25, -0.1, 0.1, 0.25) for x in xs])
+    xs = np.linspace(-0.6, 0.6, 25)
+    heights = (-0.25, -0.1, 0.0, 0.1, 0.25)  # three distinct |y|
+    points = np.array([[x, y] for y in heights for x in xs])
     v = reflected_extension(p, f)
     values = v(points)
 
-    # one extend per |y|, on the distinct x rows of that height
-    assert [h for _, h in received] == [0.1, 0.25]
-    for rows, _ in received:
-        np.testing.assert_array_equal(np.sort(rows[:, 0]), xs)
+    # each distinct (x, |y|) row reaches extend once, in blocks of at most
+    # EXTEND_ROWS rows
+    assert all(len(rows) <= EXTEND_ROWS for rows in received)
+    rows = np.concatenate(received)
+    assert len(rows) == 3 * len(xs) > EXTEND_ROWS
+    folded = np.column_stack([points[:, 0], np.abs(points[:, 1])])
+    np.testing.assert_array_equal(np.unique(rows, axis=0),
+                                  np.unique(folded, axis=0))
     singles = np.array([v(p[None, :])[0] for p in points])
     np.testing.assert_array_equal(values, singles)
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(["constant", "gaussian", "ball_poisson"]),
+       a=st.sampled_from([-0.5, 0.0, 0.5]),
+       rows=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-2.0, 2.0)),
+                     min_size=1, max_size=6))
+def test_extend_with_row_heights_matches_single_rows(name, a, rows):
+    # bounded fields: the truncation radius depends on neither x nor y, so a
+    # row's value is the same bits in any batch
+    p = Params(n=1, a=a)
+    f = make_field(name, 1, p.s, seed=1)
+    x, y = np.array(rows).T
+    batch = extend(p, f, x[:, None], y)
+    singles = [extend(p, f, np.array([xi]), yi) for xi, yi in zip(x, y)]
+    np.testing.assert_array_equal(batch, singles)

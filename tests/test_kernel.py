@@ -274,4 +274,4 @@ def test_build_table_rejects_unknown_grid_key(key):
     # an unused key would otherwise land in the table's built_with line
     with pytest.raises(ValueError, match=key):
         build_table(Params(n=1, a=0.0), {"dense_points": 33, key: 8})
-    assert set(DEFAULT_GRID) == {"dense_points", "geo_points", "rmax"}
+    assert set(DEFAULT_GRID) == {"dense_points", "geo_points"}

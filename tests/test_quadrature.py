@@ -180,30 +180,26 @@ def _ball_weighted_line_by_line(g, center, radius, a, resolution):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_ball_weighted_pairs_mirrored_lines(n):
-    # each g call holds the line at -y and the line at +y, x columns equal,
-    # and the sum is the line-by-line one to the last bit
-    calls = []
-
-    def g(p):
-        calls.append(p.copy())
-        return np.exp(np.cos(3.0 * p[:, 0]) + 0.3 * p[:, -1])
+def test_ball_weighted_calls_g_once(n):
+    # one g call holds every node of the rule, and the sum is the
+    # line-by-line one up to the order of summation
+    def recorded(calls):
+        def g(p):
+            calls.append(p.copy())
+            return np.exp(np.cos(3.0 * p[:, 0]) + 0.3 * p[:, -1])
+        return g
 
     center = np.zeros(n + 1)
     center[0] = 0.2
-    value = integrate_ball_weighted(g, center, 0.7, 0.3, 12)
-    assert calls
-    for p in calls:
-        m = len(p) // 2
-        assert len(p) == 2 * m and m > 0
-        below, above = p[:m], p[m:]
-        assert np.array_equal(below[:, :-1], above[:, :-1])
-        y = above[0, -1]
-        assert y > 0.0
-        assert np.all(above[:, -1] == y) and np.all(below[:, -1] == -y)
-    if n == 1:
-        assert len(calls) == len({p[0, -1] for p in calls})
-    assert value == _ball_weighted_line_by_line(g, center, 0.7, 0.3, 12)
+    calls, lines = [], []
+    value = integrate_ball_weighted(recorded(calls), center, 0.7, 0.3, 12)
+    oracle = _ball_weighted_line_by_line(recorded(lines), center, 0.7, 0.3, 12)
+    assert len(calls) == 1
+    nodes = np.concatenate(lines)
+    assert calls[0].shape == nodes.shape
+    np.testing.assert_array_equal(np.unique(calls[0], axis=0),
+                                  np.unique(nodes, axis=0))
+    assert_allclose(value, oracle, rtol=1e-14, atol=0)
 
 
 def test_ball_weighted_propagates_nonfinite():
