@@ -231,8 +231,10 @@ def _interior_points(n: int, count: int = 5) -> np.ndarray:
     return pts[:count]
 
 
-def _integrable(f, s: float) -> bool:
+def _integrable(name: str, f, s: float) -> bool:
     # the tails of Phi and of the extension kernel decay like |x|^-(n+2s)
+    if f.degree >= 2.0 * s:
+        print(f"skipping {name}: degree {f.degree} not integrable at s={s}")
     return f.degree < 2.0 * s
 
 
@@ -246,9 +248,7 @@ def cmd_mvp(cfg: RunConfig) -> int:
     failed = False
     for name in cfg.fields:
         f = make_field(name, params.n, params.s, seed=cfg.seed)
-        if not _integrable(f, params.s):
-            print(f"skipping {name}: degree {f.degree} not integrable "
-                  f"at s={params.s}")
+        if not _integrable(name, f, params.s):
             continue
         for x in _interior_points(params.n):
             delta = domain.distance_to_boundary(x)
@@ -277,7 +277,7 @@ def cmd_extension(cfg: RunConfig) -> int:
     failed = False
     for name in cfg.fields:
         f = make_field(name, params.n, params.s, seed=cfg.seed)
-        if not _integrable(f, params.s):
+        if not _integrable(name, f, params.s):
             continue
         v = reflected_extension(params, f)
         for x in _interior_points(params.n, count=3):

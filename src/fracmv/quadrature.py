@@ -1,4 +1,4 @@
-"""Quadrature rules: composite Gauss-Legendre, Gauss-Jacobi, angular, ball.
+"""Quadrature rules: composite Gauss-Legendre, Gauss-Jacobi, angular, shell.
 
 Every rule is a plain (nodes, weights) pair of arrays, and the same
 arguments always produce bit-identical nodes and weights.
@@ -20,6 +20,13 @@ __all__ = [
     "sphere_area",
     "angular_rule",
 ]
+
+# bump.SUPPORT_LO and SUPPORT_HI, the bump's support (bump.py imports this)
+SHELL = (0.25, 0.75)
+SHELL_RADII = 32   # Gauss-Legendre radii of the shell rule
+ARC_NODES = 8      # Gauss-Jacobi angles per quarter arc (n = 1)
+HEIGHT_NODES = 6   # Gauss-Jacobi heights |omega_y| per hemisphere (n = 2)
+AZIMUTHS = 24      # trapezoidal azimuths per height (n = 2)
 
 
 @lru_cache(maxsize=256)
@@ -129,31 +136,35 @@ def gauss_jacobi(count: int, a: float, hi: float):
     return hi * (1.0 + t) / 2.0, (hi / 2.0) ** (1.0 + a) * w
 
 
-def _ball_y_rule(a: float, radius: float, resolution: int):
-    """Positive half of the symmetric y-rule for ball slices.
+def _sphere_rule(n: int, a: float):
+    """Directions and weights on S^n in R^{n+1} for the weight |omega_y|^a.
 
-    The rule has weight |y|^a and an edge-aware tail; the nodes -y carry the
-    same weights as y.  Jacobi nodes handle the y^a weight on [0, R/2]; on
-    [R/2, R] the slice width behaves like sqrt(R^2 - y^2), so the
-    substitution y = R sin(phi) removes the square-root edge there.
+    n = 1: ``gauss_jacobi`` in theta times (sin theta/theta)^a on the four
+    quarter arcs (+-cos theta, +-sin theta).  n = 2: Archimedes' du dphi,
+    ``gauss_jacobi`` in |u| = |omega_y| mirrored to +-u, times azimuths.
     """
-    half = max(2, resolution // 2)
-    y_in, w_in = gauss_jacobi(half, a, 0.5 * radius)
-    phi, w_phi = gauss_legendre(half, (np.arcsin(0.5), 0.5 * np.pi))
-    y_out = radius * np.sin(phi)
-    w_out = w_phi * radius * np.cos(phi) * y_out ** a
-    return np.concatenate([y_in, y_out]), np.concatenate([w_in, w_out])
+    if n == 1:
+        theta, w = gauss_jacobi(ARC_NODES, a, 0.5 * math.pi)
+        arc = np.column_stack([np.cos(theta), np.sin(theta)])
+        dirs = np.concatenate([arc * q for q in ((1, 1), (-1, 1), (1, -1), (-1, -1))])
+        return dirs, np.tile(w * (np.sin(theta) / theta) ** a, 4)
+    u, wu = gauss_jacobi(HEIGHT_NODES, a, 1.0)
+    u, wu = np.concatenate([-u, u]), np.tile(wu, 2)
+    plane, wp = angular_rule(2, AZIMUTHS)
+    ring = np.sqrt(1.0 - u * u)[:, None, None] * plane
+    dirs = np.dstack([ring, np.broadcast_to(u[:, None], ring.shape[:2])])
+    return dirs.reshape(-1, 3), np.outer(wu, wp).ravel()
 
 
-def integrate_ball_weighted(g, center, radius: float, a: float, resolution: int) -> float:
-    """Integrate ``g`` against |y|^a over a ball in R^{n+1}.
+def integrate_ball_weighted(g, center, radius: float, a: float) -> float:
+    """Integrate ``g`` against |y|^a over the shell where phi_radius lives.
 
-    ``g`` is called once, with every node of the rule: it receives an array
-    of shape (m, n+1) and must return an array of shape (m,).  The last
-    coordinate is y; the center must lie on the hyperplane y = 0 so the
-    Jacobi rule in y applies.  The ball indicator is absorbed by restricting
-    each x coordinate to the chord through the nodes before it: the y-rule
-    times a ``resolution``-point Gauss-Legendre rule on each chord.
+    ``g`` must vanish outside the shell SHELL[0] R < |Z - center| <
+    SHELL[1] R, R = ``radius``, as phi_R(center - Z) does.  The center lies
+    on y = 0, so Z = center + rho omega has |y|^a = rho^a |omega_y|^a: the
+    rule is ``SHELL_RADII`` Gauss-Legendre radii with the weight rho^(n+a)
+    times ``_sphere_rule``.  ``g`` is called once, with every node as an
+    array of shape (m, n+1), and must return shape (m,).
     """
     center = np.asarray(center, dtype=float)
     n = center.size - 1
@@ -163,23 +174,10 @@ def integrate_ball_weighted(g, center, radius: float, a: float, resolution: int)
         raise ValueError(f"radius must be positive, got {radius}")
     if center[-1] != 0.0:
         raise ValueError("ball center must lie on the hyperplane y=0")
-    y, wy = _ball_y_rule(a, radius, resolution)
-    t, wt = _leggauss(resolution)
-    cols = [np.concatenate([-y[::-1], y])]
-    w = np.concatenate([wy[::-1], wy])
-    # squared half-chord of the ball on the next axis, at each node so far
-    chord2 = radius * radius - cols[0] ** 2
-    for c in center[:-1]:
-        # gauss_legendre's map onto (c - s, c + s), node for node
-        s = np.sqrt(chord2)[..., None]
-        lo, hi = c - s, c + s
-        half = 0.5 * (hi - lo)
-        x = 0.5 * (lo + hi) + half * t
-        w = w[..., None] * (half * wt)
-        chord2 = s * s - (x - c) ** 2
-        cols = [col[..., None] for col in cols] + [x]
-    pts = np.stack(np.broadcast_arrays(*cols[1:], cols[0]), axis=-1)
-    pts = pts.reshape(-1, n + 1)
+    rho, wr = gauss_legendre(SHELL_RADII, (SHELL[0] * radius, SHELL[1] * radius))
+    dirs, wd = _sphere_rule(n, a)
+    pts = (center + rho[:, None, None] * dirs).reshape(-1, n + 1)
+    w = np.outer(wr * rho ** (n + a), wd)
     vals = np.asarray(g(pts), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise EvaluationError(pts[~np.isfinite(vals)][0])

@@ -60,8 +60,8 @@ def test_criterion_1_normalization_chain(get_table, get_profile):
     failures = []
     for n, a in FULL_MATRIX:
         prof = get_profile(n, a)
-        phi_mass = integrate_ball_weighted(prof.phi, np.zeros(n + 1), 1.0, a, 96)
-        if abs(phi_mass - 1.0) > 1e-8:
+        phi_mass = integrate_ball_weighted(prof.phi, np.zeros(n + 1), 1.0, a)
+        if abs(phi_mass - 1.0) > 1e-10:
             failures.append(f"profile mass {phi_mass} at (n={n}, a={a})")
         pmass = _poisson_mass(n, a)
         if abs(pmass - 1.0) > 1e-8:
@@ -150,8 +150,7 @@ def test_criterion_4_extension_formula(get_profile):
                 x = np.atleast_1d(x)
                 delta = domain.distance_to_boundary(x)
                 fx = boundary(x)
-                vals = [extension_mean_value(prof, v, x, frac * delta,
-                                             resolution=64)
+                vals = [extension_mean_value(prof, v, x, frac * delta)
                         for frac in (0.1, 0.2, 0.4)]
                 for val in vals:
                     if abs(val - fx) > 5e-4 * (1.0 + abs(fx)):
@@ -162,6 +161,18 @@ def test_criterion_4_extension_formula(get_profile):
                 if spread > 5e-4:
                     failures.append(f"spread {spread:.2e} {name} x={x} "
                                     f"(n={n}, a={a})")
+
+    # a field extended numerically at n = 2: the constant, through
+    # reflected_extension, at one point and its three radii
+    prof = get_profile(2, 0.0)
+    v = reflected_extension(Params(n=2, a=0.0), make_field("constant", 2, 0.5))
+    x = np.array([0.4, 0.1])
+    delta = _domain(2).distance_to_boundary(x)
+    for frac in (0.1, 0.2, 0.4):
+        err = abs(extension_mean_value(prof, v, x, frac * delta) - 1.0)
+        if err > 1e-8:
+            failures.append(f"recovery {err:.2e} extended constant x={x} "
+                            f"r={frac * delta:.3g} (n=2, a=0.0)")
     _report(4, "extension formula", failures)
 
 

@@ -113,6 +113,18 @@ class TestMeanValueCommand:
         assert "skipping affine" in capsys.readouterr().out
 
 
+class TestExtensionCommand:
+    def test_affine_skipped_when_not_integrable(self, tmp_path, capsys):
+        # the same line as mvp prints, and a report with no rows
+        code = main(["extension", "--n", "1", "--a", "0.5", "--out",
+                     str(tmp_path), "--fields", "affine"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "skipping affine: degree 1 not integrable at s=0.25\n" in out
+        csv = (tmp_path / "extension_check.csv").read_text()
+        assert csv == "field_id,x,r,value,residual,kind\n"
+
+
 class TestUsageErrors:
     def test_both_a_and_s(self, table_file):
         assert main(["mvp", "--table", table_file,

@@ -1,12 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import roots_jacobi
 
+from fracmv.bump import SUPPORT_HI, SUPPORT_LO, eta_raw
 from fracmv.errors import EvaluationError, ToleranceError
-from fracmv.quadrature import (_ball_y_rule, _jacgauss, gauss_legendre,
+from fracmv.quadrature import (SHELL, _jacgauss, _sphere_rule, gauss_legendre,
                                integrate_ball_weighted, tail_radius)
 from oracles import adaptive_simpson
 
@@ -107,99 +109,69 @@ def test_tail_radius(terms, expected):
         assert tail_radius(terms, 10.0, 1e-2) == expected
 
 
-def test_ball_y_rule_weight_sum():
-    # the |y|^a rule of the ball slices, mirrored onto [-1, 1]: the integral
-    # of |y|^0.5 there is 2/(1+a) = 4/3
-    _, w = _ball_y_rule(0.5, 1.0, 24)
-    assert_allclose(2.0 * w.sum(), 4.0 / 3.0, rtol=1e-13)
+SHELL_AS = (-0.99, -0.5, 0.0, 0.5, 0.9)
 
 
-def test_ball_y_rule_quadratic_closed_form():
-    a = -0.5
-    y, w = _ball_y_rule(a, 1.0, 24)
-    assert_allclose(2.0 * (w @ y ** 2), 2.0 / (3.0 + a), rtol=1e-13)
+def _sphere_mass(n, a):
+    # int_{S^n} |omega_y|^a d sigma = 2 pi^(n/2) Gamma((a+1)/2) / Gamma((n+1+a)/2)
+    a = mpmath.mpf(a)
+    return 2 * mpmath.pi ** (mpmath.mpf(n) / 2) * mpmath.gamma((a + 1) / 2) \
+        / mpmath.gamma((n + 1 + a) / 2)
 
 
-def test_ball_weighted_disk_area():
-    val = integrate_ball_weighted(lambda p: np.ones(len(p)),
-                                  np.zeros(2), 1.0, 0.0, 64)
-    assert_allclose(val, math.pi, atol=1e-6)
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("a", SHELL_AS)
+def test_sphere_rule_weight_sum(n, a):
+    dirs, w = _sphere_rule(n, a)
+    assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-15)
+    assert_allclose(w.sum(), float(_sphere_mass(n, a)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("a", SHELL_AS)
+def test_ball_weighted_shell_volume(n, a):
+    # g = 1 on the shell R/4 < rho < 3R/4: the sphere mass times the
+    # integral of rho^(n+a) there
+    R, p = 0.6, n + 1 + a
+    shell = _sphere_mass(n, a) * ((0.75 * R) ** p - (0.25 * R) ** p) / p
+    val = integrate_ball_weighted(lambda z: np.ones(len(z)), np.zeros(n + 1), R, a)
+    assert_allclose(val, float(shell), rtol=1e-12)
+
+
+def test_shell_is_the_bump_support():
+    assert SHELL == (SUPPORT_LO, SUPPORT_HI)
 
 
 def test_ball_weighted_odd_in_y():
-    val = integrate_ball_weighted(lambda p: p[:, -1], np.zeros(2), 1.0, 0.3, 48)
-    assert abs(val) < 1e-10
+    # an integrand odd in y, zero off the shell, integrates to 0
+    center, R = np.array([0.2, 0.0]), 0.7
 
+    def odd(p):
+        bump = eta_raw(np.linalg.norm(p - center, axis=1) / R)
+        return bump * p[:, -1] * np.exp(p[:, 0])
 
-def test_ball_weighted_matches_slice_oracle():
-    # for g == 1: integral over the disk of |y|^a equals
-    # int_{-1}^{1} |y|^a 2 sqrt(1 - y^2) dy
-    a = 0.5
-
-    def slice_mass(y):
-        return abs(y) ** a * 2.0 * math.sqrt(max(0.0, 1.0 - y * y))
-
-    oracle = 2.0 * adaptive_simpson(slice_mass, 0.0, 1.0, 1e-13)
-    val = integrate_ball_weighted(lambda p: np.ones(len(p)),
-                                  np.zeros(2), 1.0, a, 96)
-    assert_allclose(val, oracle, atol=1e-6)
-
-
-def test_ball_weighted_error_shrinks_with_resolution():
-    def g(p):
-        return np.exp(np.cos(3.0 * p[:, 0]) - p[:, 1] ** 2)
-
-    target = integrate_ball_weighted(g, np.zeros(2), 1.0, 0.0, 256)
-    errs = [abs(integrate_ball_weighted(g, np.zeros(2), 1.0, 0.0, res) - target)
-            for res in (16, 24, 32)]
-    assert errs[2] < errs[1] < errs[0]
-
-
-def _ball_weighted_line_by_line(g, center, radius, a, resolution):
-    """Reference: one g call per line, slices summed from y = -R to R."""
-    n = center.size - 1
-    y, wy = _ball_y_rule(a, radius, resolution)
-    total = 0.0
-    for yk, wk in zip(np.concatenate([-y[::-1], y]),
-                      np.concatenate([wy[::-1], wy])):
-        s = np.sqrt(radius * radius - yk * yk)
-        x1, w1 = gauss_legendre(resolution, (center[0] - s, center[0] + s))
-        if n == 1:
-            pts = np.column_stack([x1, np.full(resolution, yk)])
-            total += wk * float(w1 @ g(pts))
-            continue
-        slice_val = 0.0
-        for u, wu in zip(x1, w1):
-            s2 = np.sqrt(s * s - (u - center[0]) ** 2)
-            x2, w2 = gauss_legendre(resolution, (center[1] - s2, center[1] + s2))
-            pts = np.column_stack([np.full(resolution, u), x2,
-                                   np.full(resolution, yk)])
-            slice_val += wu * float(w2 @ g(pts))
-        total += wk * slice_val
-    return total
+    scale = integrate_ball_weighted(lambda p: np.abs(odd(p)), center, R, 0.3)
+    val = integrate_ball_weighted(odd, center, R, 0.3)
+    assert scale > 0.0 and abs(val) <= 1e-15 * scale
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_ball_weighted_calls_g_once(n):
-    # one g call holds every node of the rule, and the sum is the
-    # line-by-line one up to the order of summation
-    def recorded(calls):
-        def g(p):
-            calls.append(p.copy())
-            return np.exp(np.cos(3.0 * p[:, 0]) + 0.3 * p[:, -1])
-        return g
+    # one g call holds every node, and every node lies in the closed shell
+    calls = []
+
+    def g(p):
+        calls.append(p.copy())
+        return np.ones(len(p))
 
     center = np.zeros(n + 1)
     center[0] = 0.2
-    calls, lines = [], []
-    value = integrate_ball_weighted(recorded(calls), center, 0.7, 0.3, 12)
-    oracle = _ball_weighted_line_by_line(recorded(lines), center, 0.7, 0.3, 12)
+    integrate_ball_weighted(g, center, 0.7, 0.3)
     assert len(calls) == 1
-    nodes = np.concatenate(lines)
-    assert calls[0].shape == nodes.shape
-    np.testing.assert_array_equal(np.unique(calls[0], axis=0),
-                                  np.unique(nodes, axis=0))
-    assert_allclose(value, oracle, rtol=1e-14, atol=0)
+    nodes = calls[0]
+    assert nodes.shape == ((1024, 2) if n == 1 else (9216, 3))
+    dist = np.linalg.norm(nodes - center, axis=1)
+    assert np.all((0.25 * 0.7 <= dist) & (dist <= 0.75 * 0.7))
 
 
 def test_ball_weighted_propagates_nonfinite():
@@ -209,7 +181,7 @@ def test_ball_weighted_propagates_nonfinite():
         return out
 
     with pytest.raises(EvaluationError):
-        integrate_ball_weighted(bad, np.zeros(2), 1.0, 0.0, 16)
+        integrate_ball_weighted(bad, np.zeros(2), 1.0, 0.0)
 
 
 def test_rules_are_deterministic():
