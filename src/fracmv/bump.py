@@ -15,12 +15,11 @@ import numpy as np
 
 # integrate_ball_weighted is no longer called here, but perfbench/trace.py
 # requires the fracmv.bump binding to exist so it can wrap it
-from .quadrature import gauss_legendre, integrate_ball_weighted  # noqa: F401
+from .quadrature import SHELL, gauss_legendre, integrate_ball_weighted  # noqa: F401
 
 __all__ = ["BumpProfile", "eta_raw", "eta_raw_prime", "normalize"]
 
-SUPPORT_LO = 0.25
-SUPPORT_HI = 0.75
+SUPPORT_LO, SUPPORT_HI = SHELL
 
 
 def eta_raw(rho):

@@ -67,7 +67,9 @@ class ScalarField:
 
     ``evaluator`` receives an array of shape (m, n) and returns shape (m,).
     The field obeys |f(x)| <= scale * (1 + |x|)^degree; a bounded field has
-    degree 0.
+    degree 0.  ``far = (R, c)`` declares that f(x) = c wherever |x| >= R, so
+    ``extend`` adds the kernel's mass beyond R in closed form instead of
+    evaluating the field there; None declares nothing.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -78,6 +80,7 @@ class ScalarField:
     # radii of origin-centered spheres across which f is continuous but not
     # smooth; quadratures place panel breaks on them
     kink_radii: tuple = ()
+    far: tuple | None = None
 
     def __call__(self, points):
         points = np.asarray(points, dtype=float)
@@ -86,8 +89,8 @@ class ScalarField:
         vals = np.asarray(self.evaluator(pts), dtype=float)
         return float(vals[0]) if single else vals
 
-    def envelope(self, radius) -> float:
-        """Upper bound for |f| on the ball of the given radius."""
+    def envelope(self, radius):
+        """Upper bound for |f| on the ball of the given radius (or radii)."""
         return self.scale * (1.0 + radius) ** self.degree
 
 
@@ -194,8 +197,10 @@ def sample_sharmonic(g, r: float, s: float, n: int) -> ScalarField:
     the ball the field equals ``g`` itself, so the interior values are the
     exact s-harmonic continuation of the exterior data.
 
-    For n = 1 the evaluator sums the shell rule directly, with |x - ybar|
-    formed as |x1 - y1|.  For n = 2 each ring rho_j of the rule is summed
+    The shell nodes (n = 1) and rings (n = 2) where the weighted data is
+    exactly 0 add nothing to any sum and are left out.  For n = 1 the
+    evaluator sums the shell rule directly, with |x - ybar| formed as
+    |x1 - y1|.  For n = 2 each ring rho_j of the rule is summed
     through the Fourier modes C_j(m) = sum_l c_jl e^{i m theta_l} of its 64
     weighted data values: with x = R e^{i alpha} and w = (R/rho_j) e^{-i alpha},
 
@@ -221,17 +226,23 @@ def sample_sharmonic(g, r: float, s: float, n: int) -> ScalarField:
     # (|ybar|^2-r^2)^{-s} is already folded into wq via the Jacobi weight
     coef = c * wq * gvals
     if n == 1:
+        on = coef != 0.0
+        y1, coef = pts[on, 0], coef[on]
+
         def ring_sums(xi):
-            dist = xi[:, :1] - pts[None, :, 0]
+            dist = xi[:, :1] - y1
             np.abs(dist, out=dist)
             return np.divide(coef, dist, out=dist).sum(axis=1)
     else:
         rings = coef.reshape(SHELL_RADIAL, SHELL_ANGULAR)
+        on = np.any(rings != 0.0, axis=1)
+        rings = rings[on]
         half = SHELL_ANGULAR // 2
         modes = np.fft.fft(rings, axis=1)[:, :half + 1].conj()
-        keep = np.flatnonzero(np.abs(modes).max(axis=0)
-                              > MODE_CUTOFF * np.abs(rings).sum(axis=1).max())
-        q = pts[::SHELL_ANGULAR, 0] / r  # rho_j / r, read at theta = 0
+        keep = np.flatnonzero(
+            np.abs(modes).max(axis=0, initial=0.0)
+            > MODE_CUTOFF * np.abs(rings).sum(axis=1).max(initial=0.0))
+        q = pts[::SHELL_ANGULAR, 0][on] / r  # rho_j / r, read at theta = 0
         kept = np.where((keep == 0) | (keep == half), 1.0, 2.0)[:, None] \
             * modes[:, keep].T
         # row k of D multiplies z^powers[k]: w^m C_j(m) and w^(64-m) conj C_j(m)
@@ -264,11 +275,12 @@ def sample_sharmonic(g, r: float, s: float, n: int) -> ScalarField:
 
 
 _WINDOW_PEAK = math.exp(16.0)  # rescale so the window tops out at 1
+_WINDOW_START, _WINDOW_WIDTH = 1.2, 2.1  # where the window lives, in units of r
 
 
 def _shell_window(rho, r: float):
     # smooth bump supported in (1.2r, 3.3r), mapped onto eta_raw's support
-    u = (np.asarray(rho, dtype=float) - 1.2 * r) / (2.1 * r)
+    u = (np.asarray(rho, dtype=float) - _WINDOW_START * r) / (_WINDOW_WIDTH * r)
     return _WINDOW_PEAK * eta_raw(0.25 + 0.5 * np.clip(u, 0.0, 1.0))
 
 
@@ -305,7 +317,8 @@ def make_field(name: str, n: int, s: float, r: float = 1.0, seed: int = 0) -> Sc
     """Built-in test field registry, selectable by string key."""
     if name == "constant":
         return ScalarField(evaluator=lambda x: np.ones(len(np.atleast_2d(x))),
-                           n=n, scale=1.0, description="constant 1")
+                           n=n, scale=1.0, description="constant 1",
+                           far=(0.0, 1.0))
     if name == "affine":
         return ScalarField(evaluator=lambda x: np.asarray(x, dtype=float).reshape(-1, n)[:, 0],
                            n=n, degree=1, scale=1.0,
@@ -326,5 +339,7 @@ def make_field(name: str, n: int, s: float, r: float = 1.0, seed: int = 0) -> Sc
     if name == "ball_poisson":
         fld = sample_sharmonic(_ball_poisson_data(n, r, seed), r, s, n)
         fld.description = f"ball-poisson(n={n}, s={s}, seed={seed})"
+        # the exterior data, and so the field, is 0 past the window
+        fld.far = ((_WINDOW_START + _WINDOW_WIDTH) * r, 0.0)
         return fld
     raise ValueError(f"unknown field {name!r}; known: {', '.join(FIELD_NAMES)}")

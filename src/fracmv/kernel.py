@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bump import SUPPORT_LO, BumpProfile, eta_raw, eta_raw_prime, normalize
+from .bump import (SUPPORT_HI, SUPPORT_LO, BumpProfile, eta_raw, eta_raw_prime,
+                   normalize)
 from .errors import TableMismatchError, ToleranceError
 from .extension import poisson_constant
 from .fraclap import Params, ScalarField
@@ -51,8 +52,6 @@ __all__ = [
     "DEFAULT_GRID",
 ]
 
-SUPPORT_RADIUS = 0.75
-
 RMAX = 16.0  # end of the radial grid
 
 DEFAULT_GRID = {
@@ -74,7 +73,7 @@ def _y_rule(a: float, panels: int, per: int):
     Returns (nodes, weights, eps): the remainder on [0, eps) is handled
     analytically by the caller using F(0).
     """
-    breaks = SUPPORT_RADIUS * 2.0 ** -np.arange(panels, -1.0, -1.0)
+    breaks = SUPPORT_HI * 2.0 ** -np.arange(panels, -1.0, -1.0)
     nodes, weights = gauss_legendre(per, breaks)
     return nodes, weights * nodes ** a, breaks[0]
 
@@ -114,8 +113,8 @@ def _radial_profile(profile: BumpProfile, C: float, rho: float):
     and g = r eta' share one (d, theta) grid.
     """
     n, a = profile.n, profile.a
-    ends = np.array([abs(rho - SUPPORT_LO), abs(rho - SUPPORT_RADIUS),
-                     rho + SUPPORT_LO, rho + SUPPORT_RADIUS])
+    ends = np.array([abs(rho - SUPPORT_LO), abs(rho - SUPPORT_HI),
+                     rho + SUPPORT_LO, rho + SUPPORT_HI])
     breaks = np.unique(ends[ends > 0.0])
     d_first, w_first = gauss_jacobi(D_JACOBI, a, breaks[0])
     d_rest, w_rest = gauss_legendre(D_NODES, breaks)
@@ -124,7 +123,7 @@ def _radial_profile(profile: BumpProfile, C: float, rho: float):
 
     theta, w_theta = gauss_legendre(R_NODES, (0.0, math.pi))
     lo = np.maximum(np.abs(rho - d), SUPPORT_LO)
-    hi = np.minimum(rho + d, SUPPORT_RADIUS)
+    hi = np.minimum(rho + d, SUPPORT_HI)
     half = 0.5 * np.maximum(hi - lo, 0.0)[:, None]  # 0 where the range is empty
     r = 0.5 * (hi + lo)[:, None] - half * np.cos(theta)
     arc = half * np.sin(theta) * w_theta
@@ -149,7 +148,7 @@ def _kernel_values(profile: BumpProfile, C: float, rho: float):
     and Phi'(0) = 0.
     """
     if rho == 0.0:
-        u, w = gauss_legendre(R_NODES, (SUPPORT_LO, SUPPORT_RADIUS))
+        u, w = gauss_legendre(R_NODES, (SUPPORT_LO, SUPPORT_HI))
         c_n = 4.0 if profile.n == 1 else 2.0 * math.pi
         return c_n * C * profile.kappa * float(w @ (eta_raw(u) * u ** profile.a)), 0.0
     phi, moment = _radial_profile(profile, C, rho)
@@ -173,7 +172,7 @@ def phi_direct(profile: BumpProfile, x) -> float:
 
     acc = 0.0
     for y, wy in zip(ynodes, yweights):
-        s2 = SUPPORT_RADIUS ** 2 - y * y
+        s2 = SUPPORT_HI ** 2 - y * y
         if s2 <= 0.0:
             continue
         s_y = math.sqrt(s2)

@@ -21,7 +21,8 @@ __all__ = [
     "angular_rule",
 ]
 
-# bump.SUPPORT_LO and SUPPORT_HI, the bump's support (bump.py imports this)
+# the bump profile's support, in units of its radius; bump.py takes its
+# SUPPORT_LO and SUPPORT_HI from here
 SHELL = (0.25, 0.75)
 SHELL_RADII = 32   # Gauss-Legendre radii of the shell rule
 ARC_NODES = 8      # Gauss-Jacobi angles per quarter arc (n = 1)
@@ -82,25 +83,31 @@ def angular_rule(n: int, count: int):
     return dirs, np.full(count, 2.0 * math.pi / count)
 
 
-def tail_radius(terms, start: float, tol: float) -> float:
+def tail_radius(terms, start: float, tol: float):
     """Truncation radius W of an integral over all of space.
 
     Each (c, p) term bounds part of the tail beyond W by c W^p / (-p).  W
     starts at ``start`` and grows by 4 until the bound is at most tol/2.
-    Raises ToleranceError when some p >= 0, or when the bound is still
-    above ``tol`` once W reaches 1e18.
+    A coefficient c may be an array, one bound per row; W is then an array
+    with each row's own radius.  Raises ToleranceError when some p >= 0, or
+    when a bound is still above ``tol`` once W reaches 1e18.
     """
     if any(p >= 0.0 for _, p in terms):
         raise ToleranceError("tail diverges for declared growth", math.inf, tol)
-    W = start
-    while True:
-        bound = sum(c * W ** p / -p for c, p in terms)
-        if bound <= tol / 2.0 or W >= 1e18:
-            break
-        W *= 4.0
-    if bound > tol:
-        raise ToleranceError("tail estimate above tolerance", bound, tol)
-    return W
+    radii = [float(start)]
+    while radii[-1] < 1e18:
+        radii.append(radii[-1] * 4.0)
+    radii = np.array(radii)
+    # the bound of every row (leading axes) at every radius (last axis)
+    bound = sum(np.multiply.outer(c, radii ** p) / -p for c, p in terms)
+    small = bound <= tol / 2.0
+    small[..., -1] = True
+    first = small.argmax(axis=-1)
+    final = np.take_along_axis(bound, first[..., None], axis=-1)
+    if np.any(final > tol):
+        raise ToleranceError("tail estimate above tolerance", float(final.max()), tol)
+    W = radii[first]
+    return float(W) if np.ndim(W) == 0 else W
 
 
 def gauss_legendre(count: int, breaks):

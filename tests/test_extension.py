@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from numpy.testing import assert_allclose
 
 import fracmv.extension
 from fracmv.errors import FieldRejectedError, ToleranceError
-from fracmv.extension import (EXTEND_ROWS, _radial_rule, extend,
+from fracmv.extension import (EXTEND_ROWS, RADIAL_NODES, _radial_breaks, extend,
                               poisson_constant, reflected_extension)
 from fracmv.fraclap import Params, make_field
 from fracmv.quadrature import gauss_legendre
@@ -140,14 +142,18 @@ def test_radial_rule_matches_panel_loop(W):
         nodes.append(x)
         weights.append(w)
         lo, hi = hi, min(hi * 2.0, W)
-    t, wt = _radial_rule(W)
+    t, wt = gauss_legendre(RADIAL_NODES, _radial_breaks(W))
     np.testing.assert_array_equal(t, np.concatenate(nodes))
     np.testing.assert_array_equal(wt, np.concatenate(weights))
 
 
-def test_reflected_extension_evaluates_mirrored_rows_once(monkeypatch):
-    p = Params(n=1, a=0.3)
-    f = make_field("ball_poisson", 1, p.s, seed=1)  # bounded: W ignores the batch
+@pytest.mark.parametrize("name,a", [("ball_poisson", 0.3), ("xplus_s", -0.5)],
+                         ids=["ball_poisson", "xplus_s"])
+def test_reflected_extension_evaluates_mirrored_rows_once(monkeypatch, name, a):
+    # ball_poisson stops at its far field, xplus_s at a truncation radius
+    # that grows with the row's |x| and height
+    p = Params(n=1, a=a)
+    f = make_field(name, 1, p.s, seed=1)
     received = []
     real_extend = fracmv.extension.extend
 
@@ -180,11 +186,41 @@ def test_reflected_extension_evaluates_mirrored_rows_once(monkeypatch):
        rows=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-2.0, 2.0)),
                      min_size=1, max_size=6))
 def test_extend_with_row_heights_matches_single_rows(name, a, rows):
-    # bounded fields: the truncation radius depends on neither x nor y, so a
-    # row's value is the same bits in any batch
+    # a row stops at a panel set by its own x and y, so its value is the
+    # same bits in any batch
     p = Params(n=1, a=a)
     f = make_field(name, 1, p.s, seed=1)
     x, y = np.array(rows).T
     batch = extend(p, f, x[:, None], y)
     singles = [extend(p, f, np.array([xi]), yi) for xi, yi in zip(x, y)]
     np.testing.assert_array_equal(batch, singles)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("a", [-0.5, 0.5])
+def test_far_field_stop_matches_full_integral(n, a):
+    # ball_poisson stops where its data ends and adds the rest of the mass
+    # in closed form; without far it integrates the zeros out to W
+    p = Params(n=n, a=a)
+    f = make_field("ball_poisson", n, p.s, seed=2)
+    assert f.far is not None
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1.5, 1.5, (8, n))
+    y = np.array([0.02, 0.05, 0.1, 0.3, 0.6, 1.0, 2.0, 5.0])
+    stopped = extend(p, f, x, y)
+    full = extend(p, dataclasses.replace(f, far=None), x, y)
+    assert np.max(np.abs(stopped - full)) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("a", [-0.5, 0.5])
+def test_constant_is_exactly_one(n, a):
+    # far = (0, 1): nothing is left to integrate, at any height
+    p = Params(n=n, a=a)
+    f = make_field("constant", n, p.s)
+    x = np.array([[0.0] * n, [0.4] * n, [-1.3] + [0.2] * (n - 1)])
+    for h in (0.0, 1e-300, 0.3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = extend(p, f, x, h)
+        np.testing.assert_array_equal(vals, 1.0)

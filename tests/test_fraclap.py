@@ -141,6 +141,20 @@ class TestSampleFields:
         outer = f(np.array([1.01]))
         assert abs(inner - outer) <= 5e-2 * max(1.0, f.scale)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_ball_poisson_far_value_holds(self, n):
+        # the declared far field: exactly c at random points with |x| >= R,
+        # those on the sphere |x| = R included
+        rng = np.random.default_rng(21)
+        dirs = rng.normal(size=(400, n))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        for r in (0.3, 1.0):
+            f = make_field("ball_poisson", n, 0.4, r=r, seed=2)
+            R, c = f.far
+            assert (R, c) == (3.3 * r, 0.0)
+            grow = np.concatenate([np.ones(100), rng.uniform(1.0, 4.0, 300)])
+            assert np.all(f(dirs * (R * grow)[:, None]) == c)
+
     def test_seeds_give_distinct_fields(self):
         f1 = make_field("ball_poisson", 1, 0.5, seed=0)
         f2 = make_field("ball_poisson", 1, 0.5, seed=1)
@@ -170,25 +184,32 @@ class TestSampleFields:
             y = np.asarray(y, dtype=float).reshape(-1, n)
             return 1.0 + 0.5 * np.cos(3.0 * y[:, 0]) + 0.2 * y[:, -1]
 
-        rng = np.random.default_rng(7)
-        dirs = rng.normal(size=(60, n))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        frac = np.concatenate([rng.uniform(0.0, 0.9, 48),
-                               1.0 - 10.0 ** -np.arange(1.0, 13.0)])
-        x = dirs * (r * frac)[:, None]
-        assert np.all(np.linalg.norm(x, axis=1) < r)
-
-        pts, wq = _shell_nodes(r, s, n)
-        coef = _ball_poisson_normalizer(n, s) * wq * g(pts)
-        d = np.linalg.norm(x[:, None, :] - pts[None, :, :], axis=2)
-        fac = (r * r - np.linalg.norm(x, axis=1) ** 2) ** s
-        expected = fac * (coef[None, :] / d ** n).sum(axis=1)
-
+        x = _near_boundary_points(r, n)
         got = sample_sharmonic(g, r, s, n)(x)
         if n == 1:
-            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(got, _norm_formula(g, r, s, n, x))
         else:
-            assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+            assert_allclose(got, _norm_formula(g, r, s, n, x), rtol=1e-12,
+                            atol=0.0)
+
+    @pytest.mark.parametrize("n,rtol", [(1, 1e-14), (2, 1e-12)])
+    def test_evaluator_skips_zero_shell_data(self, n, rtol):
+        # data that is exactly 0 on the outer half of the shell and on every
+        # other n = 1 node: the evaluator leaves those nodes out, the norm
+        # formula sums every node
+        r, s = 1.3, 0.35
+
+        def g(y):
+            y = np.asarray(y, dtype=float).reshape(-1, n)
+            rho = np.linalg.norm(y, axis=1)
+            vals = (1.0 + 0.5 * np.cos(3.0 * y[:, 0])) * (rho < 2.5 * r)
+            return vals * (y[:, 0] > 0.0) if n == 1 else vals
+
+        pts, _ = _shell_nodes(r, s, n)
+        assert 0 < np.count_nonzero(g(pts)) < len(pts) // 2
+        x = _near_boundary_points(r, n)
+        assert_allclose(sample_sharmonic(g, r, s, n)(x),
+                        _norm_formula(g, r, s, n, x), rtol=rtol, atol=0.0)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_batch_matches_single_points(self, n):
@@ -208,6 +229,27 @@ class TestSampleFields:
             for rad in (10.0, 100.0, 1000.0):
                 val = abs(f(np.array([rad])))
                 assert val <= 10.0 * f.envelope(rad)
+
+
+def _near_boundary_points(r, n):
+    # random points in B(0, r), then 1 - |x|/r = 10^-k for k = 1..12
+    rng = np.random.default_rng(7)
+    dirs = rng.normal(size=(60, n))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    frac = np.concatenate([rng.uniform(0.0, 0.9, 48),
+                           1.0 - 10.0 ** -np.arange(1.0, 13.0)])
+    x = dirs * (r * frac)[:, None]
+    assert np.all(np.linalg.norm(x, axis=1) < r)
+    return x
+
+
+def _norm_formula(g, r, s, n, x):
+    """The ball Poisson integral of g on every shell node, by Euclidean norms."""
+    pts, wq = _shell_nodes(r, s, n)
+    coef = _ball_poisson_normalizer(n, s) * wq * g(pts)
+    d = np.linalg.norm(x[:, None, :] - pts[None, :, :], axis=2)
+    fac = (r * r - np.linalg.norm(x, axis=1) ** 2) ** s
+    return fac * (coef[None, :] / d ** n).sum(axis=1)
 
 
 def _interior_points(r, rng):

@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.interpolate import CubicSpline
 
+from fracmv.bump import SUPPORT_HI
 from fracmv.errors import TableMismatchError
 from fracmv.fraclap import Params, make_field
-from fracmv.kernel import (DEFAULT_GRID, SUPPORT_RADIUS, _CubicSpline, build_table,
+from fracmv.kernel import (DEFAULT_GRID, _CubicSpline, build_table,
                            extension_mean_value, phi_direct, phi_r_convolve,
                            psi_component, read_table, verify_kernel_properties,
                            write_table)
@@ -20,7 +21,7 @@ class TestTableStructure:
 
     def test_phi_decreasing_past_support(self, table_n1_a0):
         t = table_n1_a0
-        sel = t.rho_grid >= 2.0 * SUPPORT_RADIUS
+        sel = t.rho_grid >= 2.0 * SUPPORT_HI
         assert np.all(np.diff(t.phi_values[sel]) < 0.0)
 
     @pytest.mark.parametrize("a", [0.0, 0.5, -0.5])
