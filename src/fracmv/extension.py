@@ -19,9 +19,9 @@ from .quadrature import angular_rule, gauss_legendre, sphere_area, tail_radius
 __all__ = ["poisson_constant", "extend", "reflected_extension"]
 
 RADIAL_NODES = 12  # Gauss nodes per panel of the radial rule
-# rows per extend call: an n=2 ball_poisson call peaks near 45 MB at 40 rows
-# and 118 MB at 400, while more rows per call save no time
-EXTEND_ROWS = 40
+# probe points per field call: bounds the memory of an extend call of any
+# number of rows
+EXTEND_POINTS = 2048
 
 
 def poisson_constant(n: int, a: float) -> float:
@@ -88,8 +88,9 @@ def extend(params: Params, f: ScalarField, x, y, tol: float = 1e-8):
     rows = np.arange(len(pts))
     if f.far is not None:
         R, c = f.far
-        # past panel k every probe point has |x + h t d| >= h ends[k] - |x|
-        past = h[:, None] * ends >= (R + rx)[:, None]
+        # past panel k every probe point has |x + h t d| >= h ends[k] - |x|,
+        # and every point lies in the far field when R <= 0
+        past = (R <= 0.0) | (h[:, None] * ends >= (R + rx)[:, None])
         reached = past[rows, stop]
         stop = np.where(reached, past.argmax(axis=1), stop)
     panels = int(stop.max()) + 1
@@ -98,21 +99,30 @@ def extend(params: Params, f: ScalarField, x, y, tol: float = 1e-8):
     kern = C * (1.0 + t * t) ** (-0.5 * (n + 1.0 - a))
     dirs, ang_w = angular_rule(n, 48)
     panel_w = (wt * t ** (n - 1) * kern).reshape(panels, RADIAL_NODES)
+    t = t.reshape(panels, RADIAL_NODES)
 
     fx = f(pts)
-    # the angular sum of f - f(x) at each radial node
-    diff = np.zeros((len(pts), len(t)))
-    # probe points x + h t d, one coordinate at a time into one buffer
-    step = h[:, None] * t
-    probe = np.empty((len(pts), len(t), n))
-    for d, wa in zip(dirs, ang_w):
-        for k in range(n):
-            np.multiply(step, d[k], out=probe[..., k])
-            probe[..., k] += pts[:, k, None]
-        vals = f(probe.reshape(-1, n)).reshape(len(pts), len(t))
-        diff += wa * (vals - fx[:, None])
+    # each row's panel sums, zero past its stop; only the (row, panel)
+    # pairs up to the stop are evaluated, EXTEND_POINTS probe points at a time
+    sums = np.zeros((len(pts), panels))
+    row, panel = np.nonzero(np.arange(panels) <= stop[:, None])
+    chunk = EXTEND_POINTS // RADIAL_NODES
+    for lo in range(0, len(row), chunk):
+        i, k = row[lo:lo + chunk], panel[lo:lo + chunk]
+        base, f0 = pts[i], fx[i, None]
+        # the angular sum of f - f(x) at each radial node
+        diff = np.zeros((len(i), RADIAL_NODES))
+        # probe points x + h t d, one coordinate at a time into one buffer
+        step = h[i, None] * t[k]
+        probe = np.empty((len(i), RADIAL_NODES, n))
+        for d, wa in zip(dirs, ang_w):
+            for j in range(n):
+                np.multiply(step, d[j], out=probe[..., j])
+                probe[..., j] += base[:, j, None]
+            vals = f(probe.reshape(-1, n)).reshape(len(i), RADIAL_NODES)
+            diff += wa * (vals - f0)
+        sums[i, k] = (diff * panel_w[k]).sum(axis=1)
     # the panel sums in order, each row read at its own stop
-    sums = (diff.reshape(len(pts), panels, RADIAL_NODES) * panel_w).sum(axis=2)
     out = fx + np.cumsum(sums, axis=1)[rows, stop]
     if f.far is not None:
         mass = ang_w.sum() * np.cumsum(panel_w.sum(axis=1))
@@ -125,19 +135,18 @@ def reflected_extension(params: Params, f: ScalarField, tol: float = 1e-8):
 
     Accepts an array of shape (m, n+1).  The heights are folded to |y|, so
     the mirrored points (z, y) and (z, -y) are one row, and the distinct
-    (z, |y|) rows are extended in blocks of EXTEND_ROWS rows of nearby
-    heights, which stop at nearby panels.
+    (z, |y|) rows, sorted by height, are extended in one ``extend`` call.
     """
     def v(points):
         rows = np.array(points, dtype=float).reshape(-1, params.n + 1)
         rows[:, -1] = np.abs(rows[:, -1])
-        rows, back = np.unique(rows, axis=0, return_inverse=True)
-        order = np.argsort(rows[:, -1], kind="stable")
-        vals = np.empty(len(rows))
-        for i in range(0, len(rows), EXTEND_ROWS):
-            block = order[i:i + EXTEND_ROWS]
-            vals[block] = extend(params, f, rows[block, :-1], rows[block, -1],
-                                 tol=tol)
-        return vals[back.ravel()]
+        order = np.lexsort(rows.T)
+        rows = rows[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+        back = np.empty(len(rows), dtype=np.intp)
+        back[order] = np.cumsum(first) - 1
+        rows = rows[first]
+        return extend(params, f, rows[:, :-1], rows[:, -1], tol=tol)[back]
 
     return v

@@ -253,9 +253,12 @@ def sample_sharmonic(g, r: float, s: float, n: int) -> ScalarField:
         def ring_sums(xi):
             z = (xi[:, 0] - 1j * xi[:, 1]) / r
             X = (z[:, None] ** powers) @ D
-            X /= 1.0 - (z ** SHELL_ANGULAR)[:, None] * q_wrap
+            # 1 - w^64 and rho_j^2 - R^2 in reused (points, rings) buffers
+            wrap = np.multiply.outer(z ** SHELL_ANGULAR, q_wrap)
+            X /= np.subtract(1.0, wrap, out=wrap)
             R2 = (z * z.conj()).real
-            return (X.real / (q * q - R2[:, None])).sum(axis=1) / (r * r)
+            gap = q * q - R2[:, None]
+            return np.divide(X.real, gap, out=gap).sum(axis=1) / (r * r)
 
     def evaluate(x):
         x = np.asarray(x, dtype=float).reshape(-1, n)

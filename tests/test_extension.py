@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 import fracmv.extension
 from fracmv.errors import FieldRejectedError, ToleranceError
-from fracmv.extension import (EXTEND_ROWS, RADIAL_NODES, _radial_breaks, extend,
+from fracmv.extension import (EXTEND_POINTS, RADIAL_NODES, _radial_breaks, extend,
                               poisson_constant, reflected_extension)
 from fracmv.fraclap import Params, make_field
 from fracmv.quadrature import gauss_legendre
@@ -147,13 +147,24 @@ def test_radial_rule_matches_panel_loop(W):
     np.testing.assert_array_equal(wt, np.concatenate(weights))
 
 
+def _counting(f):
+    """Copy of ``f`` whose evaluator records the size of every call."""
+    sizes = []
+
+    def evaluator(points):
+        sizes.append(len(points))
+        return f.evaluator(points)
+
+    return dataclasses.replace(f, evaluator=evaluator), sizes
+
+
 @pytest.mark.parametrize("name,a", [("ball_poisson", 0.3), ("xplus_s", -0.5)],
                          ids=["ball_poisson", "xplus_s"])
 def test_reflected_extension_evaluates_mirrored_rows_once(monkeypatch, name, a):
     # ball_poisson stops at its far field, xplus_s at a truncation radius
     # that grows with the row's |x| and height
     p = Params(n=1, a=a)
-    f = make_field(name, 1, p.s, seed=1)
+    f, sizes = _counting(make_field(name, 1, p.s, seed=1))
     received = []
     real_extend = fracmv.extension.extend
 
@@ -168,31 +179,54 @@ def test_reflected_extension_evaluates_mirrored_rows_once(monkeypatch, name, a):
     v = reflected_extension(p, f)
     values = v(points)
 
-    # each distinct (x, |y|) row reaches extend once, in blocks of at most
-    # EXTEND_ROWS rows
-    assert all(len(rows) <= EXTEND_ROWS for rows in received)
-    rows = np.concatenate(received)
-    assert len(rows) == 3 * len(xs) > EXTEND_ROWS
+    # one extend call, with each distinct (x, |y|) row once, and no field
+    # call above the point budget
+    assert len(received) == 1
+    rows = received[0]
     folded = np.column_stack([points[:, 0], np.abs(points[:, 1])])
+    assert len(rows) == len(np.unique(rows, axis=0)) == 3 * len(xs)
     np.testing.assert_array_equal(np.unique(rows, axis=0),
                                   np.unique(folded, axis=0))
+    assert max(sizes) <= EXTEND_POINTS
+    received.clear()
     singles = np.array([v(p[None, :])[0] for p in points])
+    assert len(received) == len(points)
     np.testing.assert_array_equal(values, singles)
 
 
-@settings(max_examples=20, deadline=None, database=None, derandomize=True)
-@given(name=st.sampled_from(["constant", "gaussian", "ball_poisson"]),
+@pytest.mark.parametrize("name,a", [("ball_poisson", 0.3), ("xplus_s", -0.5)],
+                         ids=["ball_poisson", "xplus_s"])
+def test_extend_evaluates_no_panel_past_a_row_stop(name, a):
+    # rows of many heights and |x| stop at many panels; a call over all of
+    # them evaluates the field exactly where the one-row calls do
+    p = Params(n=1, a=a)
+    f, sizes = _counting(make_field(name, 1, p.s, seed=1))
+    x = np.linspace(-1.4, 1.4, 15)[:, None]
+    y = np.geomspace(1e-3, 3.0, 15)
+    batch = extend(p, f, x, y)
+    batch_points = sum(sizes)
+    sizes.clear()
+    singles = [extend(p, f, xi, yi) for xi, yi in zip(x, y)]
+    assert batch_points == sum(sizes)
+    np.testing.assert_array_equal(batch, singles)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(n=st.sampled_from([1, 2]),
+       name=st.sampled_from(["constant", "gaussian", "ball_poisson"]),
        a=st.sampled_from([-0.5, 0.0, 0.5]),
-       rows=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-2.0, 2.0)),
+       rows=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5),
+                               st.floats(-2.0, 2.0)),
                      min_size=1, max_size=6))
-def test_extend_with_row_heights_matches_single_rows(name, a, rows):
+def test_extend_with_row_heights_matches_single_rows(n, name, a, rows):
     # a row stops at a panel set by its own x and y, so its value is the
     # same bits in any batch
-    p = Params(n=1, a=a)
-    f = make_field(name, 1, p.s, seed=1)
-    x, y = np.array(rows).T
-    batch = extend(p, f, x[:, None], y)
-    singles = [extend(p, f, np.array([xi]), yi) for xi, yi in zip(x, y)]
+    p = Params(n=n, a=a)
+    f = make_field(name, n, p.s, seed=1)
+    rows = np.array(rows)
+    x, y = rows[:, :n], rows[:, -1]
+    batch = extend(p, f, x, y)
+    singles = [extend(p, f, xi, yi) for xi, yi in zip(x, y)]
     np.testing.assert_array_equal(batch, singles)
 
 

@@ -12,7 +12,11 @@ when i is even and the work tree first when i is odd.  Each run's facts
 line, its named metric lines and its final JSON line go into ``--out``; an
 existing file is extended, so several workloads can share one.
 The summary gives each side's median and quartiles of every end-to-end
-metric and the number of pairs the work tree won.  It uses only the runs
+metric, the number of pairs the work tree won, the work median minus the
+base median (``median_diff``), the base's quartile distance (``base_iqr``)
+and ``gain_shown``: whether the work tree won at least nine tenths of ten
+or more pairs and its median is better than the base's by more than
+``base_iqr``.  It uses only the runs
 whose ``revision`` equals that of the newest run on the same side, and
 stores the number of runs it left out as ``excluded_runs``.
 
@@ -92,7 +96,15 @@ def summarize(runs, spec) -> dict:
                 side[name] = {"median": med, "q1": q1, "q3": q3, "runs": vals}
             wins = sum(sign * (p["work"][m["name"]]["value"]
                                - p["base"][m["name"]]["value"]) < 0 for p in pairs)
-            rows[m["name"]] = {**side, "work_wins": wins, "pairs": len(pairs)}
+            diff = side["work"]["median"] - side["base"]["median"]
+            iqr = side["base"]["q3"] - side["base"]["q1"]
+            # a gain shows when the work tree wins nine tenths of ten or more
+            # pairs and its median is better by more than the base's spread
+            shown = len(pairs) >= 10 and 10 * wins >= 9 * len(pairs) \
+                and -sign * diff > iqr
+            rows[m["name"]] = {**side, "work_wins": wins, "pairs": len(pairs),
+                               "median_diff": diff, "base_iqr": iqr,
+                               "gain_shown": shown}
         summary[wl] = {**rows, "excluded_runs": len(wl_runs) - len(kept)}
     return summary
 
