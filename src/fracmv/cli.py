@@ -45,7 +45,7 @@ class UsageError(Exception):
 
 @dataclass
 class RunConfig:
-    n: int = 1
+    n: int | None = None  # None: the table's n, or 1 where no table is read
     a: float | None = None
     s: float | None = None
     table: str | None = None
@@ -59,10 +59,11 @@ class RunConfig:
     def params(self) -> Params:
         if (self.a is None) == (self.s is None):
             raise UsageError("exactly one of --a and --s must be given")
+        n = 1 if self.n is None else self.n
         try:
             if self.s is not None:
-                return Params.from_s(self.n, self.s)
-            return Params(n=self.n, a=self.a)
+                return Params.from_s(n, self.s)
+            return Params(n=n, a=self.a)
         except ValueError as exc:  # e.g. a tiny s rounds a = 1 - 2s to 1
             raise UsageError(str(exc)) from exc
 
@@ -171,13 +172,28 @@ def _load_table(cfg: RunConfig) -> RadialKernelTable:
     if cfg.table is None:
         raise UsageError("--table is required for this command")
     table = read_table(cfg.table)
+    # an n, a or s left unset follows the table
+    held = table.params
+    want = {"n": held.n if cfg.n is None else cfg.n}
     if cfg.a is not None or cfg.s is not None:
-        want = cfg.params
-        if (table.params.n, table.params.a) != (want.n, want.a):
-            raise TableMismatchError(
-                f"table holds n={table.params.n}, a={table.params.a}; "
-                f"requested n={want.n}, a={want.a}")
+        want["a"] = cfg.params.a
+    if want != {key: getattr(held, key) for key in want}:
+        raise TableMismatchError(
+            f"table holds n={held.n}, a={held.a}; requested "
+            + ", ".join(f"{k}={v}" for k, v in want.items()))
     return table
+
+
+def _make_fields(names, params: Params, seed: int) -> list:
+    """(name, field) for each name, built for ``params``.
+
+    A field that does not exist in dimension ``params.n`` is a usage error.
+    """
+    try:
+        return [(name, make_field(name, params.n, params.s, seed=seed))
+                for name in names]
+    except ValueError as exc:  # e.g. xplus_s at n = 2
+        raise UsageError(str(exc)) from exc
 
 
 def _default_table_path(cfg: RunConfig) -> Path:
@@ -209,8 +225,7 @@ def cmd_kernel_build(cfg: RunConfig) -> int:
 
 def cmd_kernel_verify(cfg: RunConfig) -> int:
     table = _load_table(cfg)
-    fields = [make_field(name, table.params.n, table.params.s, seed=cfg.seed)
-              for name in cfg.fields]
+    fields = [f for _, f in _make_fields(cfg.fields, table.params, cfg.seed)]
     report = verify_kernel_properties(table, fields=fields)
     lines = ["property,status,measured,threshold,detail"]
     for name, status, measured, threshold, detail in report.rows():
@@ -246,8 +261,7 @@ def cmd_mvp(cfg: RunConfig) -> int:
     rows = ["field_id,x,r,residual,allowed"]
     worst = 0.0
     failed = False
-    for name in cfg.fields:
-        f = make_field(name, params.n, params.s, seed=cfg.seed)
+    for name, f in _make_fields(cfg.fields, params, cfg.seed):
         if not _integrable(name, f, params.s):
             continue
         for x in _interior_points(params.n):
@@ -275,8 +289,7 @@ def cmd_extension(cfg: RunConfig) -> int:
     domain = Domain.ball(np.zeros(params.n), 1.0)
     rows = ["field_id,x,r,value,residual,kind"]
     failed = False
-    for name in cfg.fields:
-        f = make_field(name, params.n, params.s, seed=cfg.seed)
+    for name, f in _make_fields(cfg.fields, params, cfg.seed):
         if not _integrable(name, f, params.s):
             continue
         v = reflected_extension(params, f)
@@ -308,10 +321,10 @@ def cmd_regularity(cfg: RunConfig) -> int:
     grid = _interior_points(params.n, count=3)
     rows = []
     failed = False
-    for name in cfg.fields:
-        if name in ("constant", "affine"):
-            continue  # gradient/sharp ratios degenerate or trivial
-        f = make_field(name, params.n, params.s, seed=cfg.seed)
+    # gradient/sharp ratios of constant and affine fields are degenerate or
+    # trivial
+    names = [name for name in cfg.fields if name not in ("constant", "affine")]
+    for name, f in _make_fields(names, params, cfg.seed):
         for lam in (0.3, 0.5):
             sub = gradient_sharp_ratio(table, f, domain, lam, grid,
                                        (0.5, 0.25, 0.125), field_id=name)

@@ -1,11 +1,8 @@
-"""Fractional Laplacian oracle and s-harmonic test field generators.
+"""Problem parameters and the s-harmonic test field generators.
 
-The oracle evaluates the singular integral defining (-Laplacian)^s up to a
-fixed positive multiplicative constant, so it is only ever compared against
-zero or used in ratios.  Test fields that are s-harmonic inside a ball are
-produced by integrating exterior data against the fractional ball Poisson
-kernel, which gives exact interior values without assuming the mean value
-property under test.
+Test fields that are s-harmonic inside a ball are produced by integrating
+exterior data against the fractional ball Poisson kernel, which gives exact
+interior values without assuming the mean value property under test.
 """
 from __future__ import annotations
 
@@ -17,12 +14,11 @@ import numpy as np
 
 from .bump import eta_raw
 from .errors import FieldRejectedError
-from .quadrature import angular_rule, gauss_jacobi, gauss_legendre, tail_radius
+from .quadrature import angular_rule, gauss_jacobi
 
 __all__ = [
     "Params",
     "ScalarField",
-    "frac_lap",
     "sample_sharmonic",
     "make_field",
     "FIELD_NAMES",
@@ -92,73 +88,6 @@ class ScalarField:
     def envelope(self, radius):
         """Upper bound for |f| on the ball of the given radius (or radii)."""
         return self.scale * (1.0 + radius) ** self.degree
-
-
-def frac_lap(f: ScalarField, x, s: float, tol: float = 1e-6) -> float:
-    """Fractional Laplacian of ``f`` at ``x``, up to a positive constant.
-
-    Evaluates -(1/2) * int (f(x+z) + f(x-z) - 2 f(x)) / |z|^{n+2s} dz by
-    radial quadrature.  The inner part (|z| <= 1) relies on the cancellation
-    of the symmetric second difference; the outer part is truncated where the
-    declared growth envelope bounds the remainder below ``tol``.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    n = x.size
-    fx = f(x)
-    # both ±z are formed explicitly, so directions cover a half sphere: the
-    # first half of the full rule, each direction weighted twice
-    dirs, ang_w = angular_rule(n, 32)
-    half = len(dirs) // 2
-    dirs, ang_w = dirs[:half], 2.0 * ang_w[:half]
-    surf = ang_w.sum()
-
-    def ring_sum(t_nodes):
-        pts_p = x[None, None, :] + t_nodes[:, None, None] * dirs[None, :, :]
-        pts_m = x[None, None, :] - t_nodes[:, None, None] * dirs[None, :, :]
-        shape = (len(t_nodes), len(dirs))
-        vp = f(pts_p.reshape(-1, n)).reshape(shape)
-        vm = f(pts_m.reshape(-1, n)).reshape(shape)
-        return ((vp + vm - 2.0 * fx) * ang_w).sum(axis=1)
-
-    # outer truncation: remainder of the f(x+z) part is bounded by the envelope
-    Z = tail_radius([(surf * f.scale * (1.0 + np.linalg.norm(x)) ** f.degree,
-                      f.degree - 2.0 * s)], 64.0, tol)
-
-    # Below eps the symmetric second difference is dominated by rounding
-    # noise after the t^{-1-2s} amplification; use a local even Taylor model
-    # D(t) ~ Q2 t^2 + Q4 t^4 fitted at eps and eps/2 instead.
-    eps = 1e-3
-    d_eps = float(ring_sum(np.array([eps]))[0])
-    d_half = float(ring_sum(np.array([eps / 2.0]))[0])
-    q4e4 = (4.0 / 3.0) * (d_eps - 4.0 * d_half)
-    q2e2 = d_eps - q4e4
-    total = (q2e2 / (2.0 - 2.0 * s) + q4e4 / (4.0 - 2.0 * s)) * eps ** (-2.0 * s)
-
-    breaks = [eps]
-    kink = float(np.linalg.norm(x))
-    while breaks[-1] < Z:
-        breaks.append(min(breaks[-1] * 2.0, Z))
-    if n == 1:
-        # f may lose smoothness where x +/- z crosses the origin or one of
-        # the field's declared kink spheres
-        spots = {kink}
-        for c in f.kink_radii:
-            spots.update((abs(c - kink), c + kink))
-        breaks = sorted(set(breaks) | {t for t in spots if eps < t < Z})
-    elif f.kink_radii:
-        # crossings depend on the direction; refine the radial band that
-        # can contain them instead of placing exact per-direction breaks
-        extra = set()
-        for c in f.kink_radii:
-            lo, hi = max(eps, c - kink - 1e-9), min(Z, c + kink + 1e-9)
-            if hi > lo:
-                extra.update(np.linspace(lo, hi, 17))
-        breaks = sorted(set(breaks) | extra)
-    t, wt = gauss_legendre(10, breaks)
-    total += float(wt @ (ring_sum(t) * t ** (-1.0 - 2.0 * s)))
-    # analytic continuation of the -2 f(x) term beyond Z
-    total += -2.0 * fx * surf * Z ** (-2.0 * s) / (2.0 * s)
-    return -0.5 * total
 
 
 def _ball_poisson_normalizer(n: int, s: float) -> float:

@@ -1,14 +1,19 @@
 """Independent references that only the tests use.
 
-Each one computes a quantity that fracmv computes another way: adaptive
-Simpson against the Gauss rules, the extension and ball Poisson kernels in
-their defining forms, and the ball-Poisson field as the direct sum over
-every shell node.
+Each one computes a quantity that fracmv computes another way, or one that
+fracmv's results must satisfy: adaptive Simpson against the Gauss rules,
+the extension and ball Poisson kernels in their defining forms, the
+ball-Poisson field as the direct sum over every shell node, the fractional
+Laplacian by symmetric second differences, which vanishes on the
+s-harmonic test fields, and the bump's potential psi, whose gradient is
+phi(X) X.
 """
 import numpy as np
 
+from fracmv.bump import SUPPORT_HI, SUPPORT_LO, eta_raw
 from fracmv.extension import poisson_constant
 from fracmv.fraclap import _ball_poisson_normalizer, _shell_nodes
+from fracmv.quadrature import angular_rule, gauss_legendre, tail_radius
 
 
 def adaptive_simpson(f, lo: float, hi: float, tol: float = 1e-13, max_depth: int = 50) -> float:
@@ -92,3 +97,99 @@ def sharmonic_direct(g, r: float, s: float, n: int, x):
     diff = x[:, None, :] - pts[None, :, :]
     dist_n = np.abs(diff[..., 0]) if n == 1 else (diff * diff).sum(axis=2)
     return (r * r - rx ** 2) ** s * (coef / dist_n).sum(axis=1)
+
+
+def frac_lap(f, x, s: float, tol: float = 1e-6) -> float:
+    """Fractional Laplacian of ``f`` at ``x``, up to a positive constant.
+
+    Evaluates -(1/2) * int (f(x+z) + f(x-z) - 2 f(x)) / |z|^{n+2s} dz by
+    radial quadrature.  The inner part (|z| <= 1) relies on the cancellation
+    of the symmetric second difference; the outer part is truncated where the
+    declared growth envelope bounds the remainder below ``tol``.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    n = x.size
+    fx = f(x)
+    # both ±z are formed explicitly, so directions cover a half sphere: the
+    # first half of the full rule, each direction weighted twice
+    dirs, ang_w = angular_rule(n, 32)
+    half = len(dirs) // 2
+    dirs, ang_w = dirs[:half], 2.0 * ang_w[:half]
+    surf = ang_w.sum()
+
+    def ring_sum(t_nodes):
+        pts_p = x[None, None, :] + t_nodes[:, None, None] * dirs[None, :, :]
+        pts_m = x[None, None, :] - t_nodes[:, None, None] * dirs[None, :, :]
+        shape = (len(t_nodes), len(dirs))
+        vp = f(pts_p.reshape(-1, n)).reshape(shape)
+        vm = f(pts_m.reshape(-1, n)).reshape(shape)
+        return ((vp + vm - 2.0 * fx) * ang_w).sum(axis=1)
+
+    # outer truncation: remainder of the f(x+z) part is bounded by the envelope
+    Z = tail_radius([(surf * f.scale * (1.0 + np.linalg.norm(x)) ** f.degree,
+                      f.degree - 2.0 * s)], 64.0, tol)
+
+    # Below eps the symmetric second difference is dominated by rounding
+    # noise after the t^{-1-2s} amplification; use a local even Taylor model
+    # D(t) ~ Q2 t^2 + Q4 t^4 fitted at eps and eps/2 instead.
+    eps = 1e-3
+    d_eps = float(ring_sum(np.array([eps]))[0])
+    d_half = float(ring_sum(np.array([eps / 2.0]))[0])
+    q4e4 = (4.0 / 3.0) * (d_eps - 4.0 * d_half)
+    q2e2 = d_eps - q4e4
+    total = (q2e2 / (2.0 - 2.0 * s) + q4e4 / (4.0 - 2.0 * s)) * eps ** (-2.0 * s)
+
+    breaks = [eps]
+    kink = float(np.linalg.norm(x))
+    while breaks[-1] < Z:
+        breaks.append(min(breaks[-1] * 2.0, Z))
+    if n == 1:
+        # f may lose smoothness where x +/- z crosses the origin or one of
+        # the field's declared kink spheres
+        spots = {kink}
+        for c in f.kink_radii:
+            spots.update((abs(c - kink), c + kink))
+        breaks = sorted(set(breaks) | {t for t in spots if eps < t < Z})
+    elif f.kink_radii:
+        # crossings depend on the direction; refine the radial band that
+        # can contain them instead of placing exact per-direction breaks
+        extra = set()
+        for c in f.kink_radii:
+            lo, hi = max(eps, c - kink - 1e-9), min(Z, c + kink + 1e-9)
+            if hi > lo:
+                extra.update(np.linspace(lo, hi, 17))
+        breaks = sorted(set(breaks) | extra)
+    t, wt = gauss_legendre(10, breaks)
+    total += float(wt @ (ring_sum(t) * t ** (-1.0 - 2.0 * s)))
+    # analytic continuation of the -2 f(x) term beyond Z
+    total += -2.0 * fx * surf * Z ** (-2.0 * s) / (2.0 * s)
+    return -0.5 * total
+
+
+def first_moment(profile) -> float:
+    """A = kappa * int u eta_raw(u) du over the bump's support (80 nodes)."""
+    u, w = gauss_legendre(80, (SUPPORT_LO, SUPPORT_HI))
+    return float(profile.kappa * (w @ (u * eta_raw(u))))
+
+
+def zeta(profile, t):
+    """Running moment: kappa * int_0^t u eta_raw(u) du minus A.
+
+    It is -A below the support and 0 beyond it.  One 60-node rule on
+    (1/4, min(t, 3/4)) serves every t at once; it has zero width where
+    t <= 1/4.
+    """
+    t = np.asarray(t, dtype=float)
+    hi = np.clip(t, SUPPORT_LO, SUPPORT_HI)[..., None]
+    x, w = gauss_legendre(60, (-1.0, 1.0))
+    half = 0.5 * (hi - SUPPORT_LO)
+    u = 0.5 * (hi + SUPPORT_LO) + half * x
+    out = profile.kappa * ((half * w) * (u * eta_raw(u))).sum(axis=-1) \
+        - first_moment(profile)
+    return float(out) if t.ndim == 0 else out
+
+
+def psi(profile, X):
+    """psi(X) = zeta(|X|) for points X of shape (m, n+1); 0 past |X| = 3/4."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return zeta(profile, np.linalg.norm(X, axis=-1))

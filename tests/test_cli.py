@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from fracmv.cli import (DEFAULT_TOLERANCES, RunConfig, UsageError,
                         _build_config, _make_parser, main)
 from fracmv.errors import TableMismatchError
 from fracmv.kernel import DEFAULT_GRID, read_table, write_table
+from oracles import first_moment
 
 # the bad inputs given as flags rather than as config lines
 BAD_FLAGS = ["--tol mvp=nan", "--tol mvp=inf", "--tol mvp=0", "--tol mpv=1e-3",
@@ -31,6 +33,13 @@ def _sealed(text):
 def table_file(tmp_path_factory, table_n1_a0):
     path = tmp_path_factory.mktemp("tables") / "kernel_n1_a0.txt"
     write_table(table_n1_a0, path)
+    return str(path)
+
+
+@pytest.fixture(scope="session")
+def table_file_n2(tmp_path_factory, get_table):
+    path = tmp_path_factory.mktemp("tables") / "kernel_n2_a0.txt"
+    write_table(get_table(2, 0.0), path)
     return str(path)
 
 
@@ -196,6 +205,43 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("command", ["mvp", "regularity", "kernel verify",
+                                         "extension"])
+    def test_one_dimensional_field_at_n2(self, table_file_n2, tmp_path,
+                                         command, capsys):
+        argv = command.split() + ["--fields", "constant,xplus_s",
+                                  "--out", str(tmp_path)]
+        argv += (["--n", "2", "--a", "0.0"] if command == "extension"
+                 else ["--table", table_file_n2])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: xplus_s is a one-dimensional field\n"
+        assert list(tmp_path.iterdir()) == []  # nothing ran
+
+    @pytest.mark.parametrize("given", ["--n 2", "--n 2 --a 0.0", "n = 2",
+                                       "n = 2\ns = 0.5"],
+                             ids=["flag", "flags_with_a", "config",
+                                  "config_with_s"])
+    def test_n_must_match_table(self, table_file, tmp_path, given, capsys):
+        # an n from a flag or a config line is checked with or without a or s
+        argv = ["mvp", "--table", table_file, "--out", str(tmp_path)]
+        if given.startswith("--"):
+            argv += given.split()
+        else:
+            cfg = tmp_path / "n2.cfg"
+            cfg.write_text(given + "\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: table holds n=1, a=0.0; requested n=2")
+        assert err.count("\n") == 1
+
+    def test_unset_n_follows_table(self, table_file_n2, tmp_path):
+        # with a given and n not, the table's n is taken, not a default of 1
+        assert main(["mvp", "--table", table_file_n2, "--a", "0.0",
+                     "--fields", "constant", "--out", str(tmp_path)]) == 0
+
+
 class TestIOErrors:
     def test_missing_config_file(self):
         assert main(["kernel", "build", "--s", "0.5",
@@ -246,6 +292,23 @@ class TestMalformedTable:
         path.write_text(_sealed(text))
         table = read_table(path)
         assert table.build_meta["rmax"] == 16.0 and table.rmax == 16.0
+        assert main(["mvp", "--table", str(path), "--out", str(tmp_path)]) == 0
+
+    def test_table_with_first_moment_line_reads(self, table_file, tmp_path):
+        # tables used to carry the bump's first moment A after kappa; a
+        # table written now does not, and an old one reads to the same arrays
+        text = open(table_file).read()
+        assert "\nA=" not in text
+        table = read_table(table_file)
+        moment = f"A={first_moment(table.profile)!r}\n"
+        text = text.replace("\ngrid=", "\n" + moment + "grid=", 1)
+        assert moment in text
+        path = tmp_path / "old.txt"
+        path.write_text(_sealed(text))
+        old = read_table(path)
+        for name in ("rho_grid", "phi_values", "psi_profile"):
+            assert np.array_equal(getattr(old, name), getattr(table, name))
+        assert old.profile == table.profile
         assert main(["mvp", "--table", str(path), "--out", str(tmp_path)]) == 0
 
     def test_resealed_copy_reads_back(self, table_file, tmp_path):

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from fracmv.fraclap import (FIELD_NAMES, Params, ScalarField,
                             _ball_poisson_data, _ball_poisson_normalizer,
-                            _shell_nodes, _shell_window, frac_lap,
-                            make_field, sample_sharmonic)
-from oracles import adaptive_simpson, ball_poisson_kernel, sharmonic_direct
+                            _shell_nodes, _shell_window, make_field,
+                            sample_sharmonic)
+from oracles import (adaptive_simpson, ball_poisson_kernel, frac_lap,
+                     sharmonic_direct)
 
 
 class TestParams:

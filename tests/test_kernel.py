@@ -10,8 +10,7 @@ from fracmv.errors import TableMismatchError
 from fracmv.fraclap import Params, make_field
 from fracmv.kernel import (DEFAULT_GRID, _CubicSpline, build_table,
                            extension_mean_value, phi_direct, phi_r_convolve,
-                           psi_component, read_table, verify_kernel_properties,
-                           write_table)
+                           read_table, verify_kernel_properties, write_table)
 from fracmv.quadrature import gauss_legendre
 
 
@@ -115,50 +114,37 @@ class TestMeanValue:
 
 
 class TestPsiComponent:
+    # Psi^i(x) = Phi'(|x|) x_i / |x|, so these check the radial profile Phi'
     def test_zero_at_origin(self, table_n1_a0):
-        assert psi_component(table_n1_a0, np.zeros(1), 1) == 0.0
-
-    def test_odd_under_reflection(self, table_n1_a0):
-        vp = psi_component(table_n1_a0, np.array([0.4]), 1)
-        vm = psi_component(table_n1_a0, np.array([-0.4]), 1)
-        assert_allclose(vp, -vm, rtol=1e-12)
-
-    def test_rejects_bad_index(self, table_n1_a0):
-        with pytest.raises(ValueError):
-            psi_component(table_n1_a0, np.array([0.4]), 2)
+        assert table_n1_a0.psi_radial_of(0.0) == 0.0
 
     def test_matches_phi_derivative(self, table_n1_a0):
         t = table_n1_a0
         h = 1e-5
         for rho in (0.45, 1.2, 3.0):
             fd = (t.phi_of(rho + h) - t.phi_of(rho - h)) / (2.0 * h)
-            assert_allclose(psi_component(t, np.array([rho]), 1), fd,
-                            rtol=1e-3, atol=1e-8)
+            assert_allclose(t.psi_radial_of(rho), fd, rtol=1e-3, atol=1e-8)
 
     def test_zero_integral_on_line(self, table_n1_a0):
-        u, w = gauss_legendre(400, (-table_n1_a0.rmax, table_n1_a0.rmax))
-        vals = np.array([psi_component(table_n1_a0, np.array([x]), 1)
-                         for x in u])
-        assert abs(float(w @ vals)) < 1e-6
+        # Psi^1 is odd, so its line integral vanishes on any symmetric rule;
+        # what can fail is Phi' itself, so it must integrate back to Phi:
+        # int_0^rmax Phi' = Phi(rmax) - Phi(0)
+        t = table_n1_a0
+        u, w = gauss_legendre(400, (0.0, t.rmax))
+        ftc = float(w @ t.psi_radial_of(u)) - (t.phi_of(t.rmax) - t.phi_of(0.0))
+        assert abs(ftc) < 1e-6
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_array_form_equals_point_calls(self, get_table, n):
+        # inside the grid, at its end and on the power-law tail beyond it
         table = get_table(n, 0.0)
         rng = np.random.default_rng(3)
-        pts = np.concatenate([np.zeros((1, n)),
-                              rng.uniform(-20.0, 20.0, (40, n)),
-                              rng.uniform(-1.0, 1.0, (40, n))])
-        for i in range(1, n + 1):
-            got = psi_component(table, pts, i)
-            assert got.shape == (len(pts),) and got[0] == 0.0
-            want = [psi_component(table, p, i) for p in pts]
-            assert all(isinstance(v, float) for v in want)
-            assert np.array_equal(got, want)
-            # the single-point formula as it read before the array form
-            norms = [float(np.linalg.norm(p)) for p in pts[1:]]
-            old = [table.psi_radial_of(rho) * p[i - 1] / rho
-                   for p, rho in zip(pts[1:], norms)]
-            assert_allclose(got[1:], old, rtol=1e-14, atol=0.0)
+        rho = np.concatenate([[0.0, table.rmax], rng.uniform(0.0, 30.0, 80)])
+        got = table.psi_radial_of(rho)
+        assert got.shape == rho.shape and got[0] == 0.0
+        want = [table.psi_radial_of(float(r)) for r in rho]
+        assert all(isinstance(v, float) for v in want)
+        assert np.array_equal(got, want)
 
 
 class TestExtensionMeanValue:

@@ -10,6 +10,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "fracmv"
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -22,6 +23,15 @@ def test_no_private_names_imported_across_modules(path):
                if isinstance(node, ast.ImportFrom) and node.level > 0
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def _all_names(tree):
+    """The strings of a module's ``__all__`` list."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
 
 
 def _unused_imports(path):
@@ -40,12 +50,7 @@ def _unused_imports(path):
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    # names re-exported through __all__ count as used
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(elt.value for elt in node.value.elts
-                        if isinstance(elt, ast.Constant))
+    used.update(_all_names(tree))  # names re-exported through __all__
     return sorted(f"line {line}: {name}" for name, line in imported.items()
                   if name not in used)
 
@@ -66,6 +71,38 @@ def test_all_names_exist(path):
     missing = [name for name in getattr(module, "__all__", ())
                if not hasattr(module, name)]
     assert missing == []
+
+
+def _references(tree, skip=None):
+    """Names read as ``Name`` or ``Attribute`` nodes outside ``skip``'s subtree."""
+    stack, out = [tree], set()
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_public_names_reached_outside_tests(path):
+    # a public name that only tests use is a test oracle and belongs in
+    # tests/oracles.py; each name must be read somewhere in the package
+    # outside its own definition, or by the benchmark
+    others = {p: ast.parse(p.read_text(), filename=str(p))
+              for p in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+              if p != path}
+    reached = set().union(*(_references(tree) for tree in others.values()))
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    unused = [name for name in _all_names(tree) if name not in reached
+              and name not in _references(tree, skip=defs.get(name))]
+    assert unused == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
