@@ -5,6 +5,9 @@ f on R^n to the extension u(x, y) = (P_y * f)(x) in the upper half-space;
 the even reflection v(x, y) = u(x, |y|) solves div(|y|^a grad v) = 0.
 The constant C, which gives the kernel unit mass at every height, has the
 closed form of Caffarelli and Silvestre (Comm. PDE 32, 2007).
+
+P_y * f, Phi_r * f and the gradient of an s-harmonic f are integrals of f
+along rays against radial kernels; ``ray_integrals`` computes all three.
 """
 from __future__ import annotations
 
@@ -16,12 +19,12 @@ from .errors import FieldRejectedError
 from .fraclap import Params, ScalarField
 from .quadrature import angular_rule, gauss_legendre, sphere_area, tail_radius
 
-__all__ = ["poisson_constant", "extend", "reflected_extension"]
+__all__ = ["poisson_constant", "ray_integrals", "extend", "reflected_extension"]
 
 RADIAL_NODES = 12  # Gauss nodes per panel of the radial rule
-# probe points per field call: bounds the memory of an extend call of any
-# number of rows
-EXTEND_POINTS = 2048
+DIRECTIONS = 48    # directions of the angular rule (n = 2)
+EXTEND_POINTS = 2048  # probe points per field call
+RAY_LIST = 256  # rays in one ragged list of panels: bounds its memory
 
 
 def poisson_constant(n: int, a: float) -> float:
@@ -34,99 +37,164 @@ def poisson_constant(n: int, a: float) -> float:
         / (math.pi ** (n / 2.0) * math.gamma((1.0 - a) / 2.0))
 
 
-def _check_growth(f: ScalarField, s: float):
-    if f.degree >= 2.0 * s:
-        raise FieldRejectedError(
-            f"field {f.description!r} (degree {f.degree}) is not integrable "
-            f"against (1+|x|)^-(n+2s) for s={s}")
-
-
-def _radial_breaks(W: float):
-    """Panel ends of the radial rule on (0, W): 0, 1/2, then doubling to W."""
-    breaks = [0.0, 0.5]
+def _radial_breaks(W: float, body):
+    """Panel ends on (0, W): those of ``body``, from 0, then doubling."""
+    breaks = list(body)
     while breaks[-1] < W:
-        breaks.append(min(breaks[-1] * 2.0, W))
-    return np.array(breaks)
+        breaks.append(2.0 * breaks[-1])
+    breaks = np.array(breaks)
+    return np.append(breaks[breaks < W], W)
+
+
+def ray_integrals(f: ScalarField, x, scale, kernel, tail: float, mass: float,
+                  body, tol: float, subtract=0.0):
+    """Integrals of f along rays from each row against a radial kernel K.
+
+    Row i is a point x_i with a scale h_i > 0.  Direction d_j of the angular
+    rule, of weight w_j, gives parts[i, j] = w_j times the integral over
+    t > 0 of K(t) t^(n-1) (f(x_i + h_i t d_j) - f0_i), f0 = ``subtract``.
+    |K(t)| decays like t^-tail past t = 64, ``mass`` is the integral of
+    K(|w|) over R^n, and ``body`` holds the panel ends, from 0, that resolve
+    K.  A ray stops at its row's truncation radius W, past which the growth
+    envelope bounds the rest below ``tol``, or for a field with
+    ``far = (R, c)`` where it leaves |z| < R if that comes first.  Past its
+    stop it takes f = c: it adds (c - f0_i) times mass / |S^(n-1)| less its
+    rule's kernel mass.  Its rule has RADIAL_NODES Gauss nodes on each panel
+    of ``_radial_breaks``, split where it crosses a ``f.kink_radii`` sphere.
+    Each ray sums its panels in order, so a row's parts do not depend on the
+    other rows.
+    """
+    n = f.n
+    pts = np.asarray(x, dtype=float).reshape(-1, n)
+    h = np.broadcast_to(np.asarray(scale, dtype=float), (len(pts),))
+    f0 = np.broadcast_to(np.asarray(subtract, dtype=float), (len(pts),))
+    dirs, ang_w = angular_rule(n, DIRECTIONS)
+    D = len(dirs)
+
+    # the truncation radius of each row, from |K(t)| <= coef t^-tail and
+    # |f - f0| <= envelope(|x|) + |f0| + scale (h t)^degree; t^tail K(t)
+    # has settled by t = 1e18
+    coef = abs(kernel(1e18)) * 1e18 ** tail
+    surf = sphere_area(n)
+    terms = [(coef * surf * (f.envelope(np.linalg.norm(pts, axis=1)) + np.abs(f0)),
+              n - tail)]
+    if f.degree > 0:
+        terms.append((coef * surf * f.scale * h ** f.degree, n - tail + f.degree))
+    W = tail_radius(terms, 64.0, tol)
+    ends = _radial_breaks(float(W.max()), body)
+    g_t, g_w = gauss_legendre(RADIAL_NODES, (-1.0, 1.0))
+
+    def rule(lo, hi):  # nodes and kernel weights on the panels (lo, hi)
+        half = 0.5 * (hi - lo)[:, None]
+        t = 0.5 * (hi + lo)[:, None] + half * g_t
+        w = kernel(t) * (half * g_w)
+        return t, (w * t if n == 2 else w)
+
+    # the rule on the panels between ends, which most rays share whole
+    t_ends, w_ends = rule(ends[:-1], ends[1:])
+
+    parts = np.empty((len(pts), D))
+    block = max(1, RAY_LIST // D)  # rows whose rays share one list
+    for b0 in range(0, len(pts), block):
+        xb, hb = pts[b0:b0 + block], h[b0:b0 + block]
+        # ray i D + j is row i in direction j; its scale, f0 and stop
+        hr, fr = np.repeat(hb, D), np.repeat(f0[b0:b0 + block], D)
+        stop = np.repeat(W[b0:b0 + block], D)
+        # the ray z = x + u d meets the sphere |z| = rho where
+        # u = -x.d +- sqrt(rho^2 - gap), gap = |x|^2 - (x.d)^2
+        xd = sum(xb[:, k, None] * dirs[:, k] for k in range(n)).ravel()
+        gap = np.repeat((xb * xb).sum(axis=1), D) - xd * xd
+        if f.far is not None:
+            R, c = f.far
+            # u where the ray leaves |z| < R, 0 if it is never inside
+            leave = np.where(R * R > gap, np.sqrt(np.abs(R * R - gap)) - xd, 0.0)
+            leave = np.maximum(leave, 0.0) if R > 0.0 else np.zeros_like(leave)
+            np.divide(leave, hr, out=stop, where=leave < hr * stop)
+
+        # every panel end of every ray: the ends below its stop, its kink
+        # crossings and the stop
+        count = np.searchsorted(ends[1:], stop)
+        start = np.repeat(np.cumsum(count) - count, count)
+        ray = [np.repeat(np.arange(stop.size), count), np.flatnonzero(stop)]
+        end = [ends[1 + np.arange(start.size) - start], stop[stop > 0.0]]
+        if f.kink_radii:
+            rho2 = np.square(f.kink_radii)[:, None, None]
+            u = np.sqrt(np.abs(rho2 - gap)) * np.array([[-1.0], [1.0]]) - xd
+            cut = np.nonzero((rho2 > gap) & (u > 0.0) & (u < hr * stop))
+            at, t = cut[2], u[cut] / hr[cut[2]]  # each crossing's ray and t
+            ray.append(at[t < stop[at]])
+            end.append(t[t < stop[at]])
+        ray, hi = np.concatenate(ray), np.concatenate(end)
+        order = np.lexsort((hi, ray))
+        ray, hi = ray[order], hi[order]
+        # each end closes the panel that the ray's previous end opens
+        lo = np.zeros_like(hi)
+        same = ray[1:] == ray[:-1]
+        lo[1:][same] = hi[:-1][same]
+        keep = hi > lo
+        ray, lo, hi = ray[keep], lo[keep], hi[keep]
+
+        # each panel's row of the rule: a shared one, or its own where a
+        # kink or the stop cuts it
+        idx = np.searchsorted(ends, hi)
+        own = np.flatnonzero((ends[idx] != hi) | (ends[idx - 1] != lo))
+        t_own, w_own = rule(lo[own], hi[own])
+        idx -= 1
+        idx[own] = len(t_ends) + np.arange(len(own))
+        t_all = np.concatenate([t_ends, t_own])
+        w_all = np.concatenate([w_ends, w_own])
+        # each panel's ray: its origin, its step h d and its f0
+        row, dj = np.divmod(ray, D)
+        origin, step, f0p = xb[row], hr[ray, None] * dirs[dj], fr[ray]
+        sums = np.empty(len(ray))  # each panel's integral
+        chunk = EXTEND_POINTS // RADIAL_NODES
+        for c0 in range(0, len(ray), chunk):
+            sl = slice(c0, c0 + chunk)
+            t, w = t_all[idx[sl]], w_all[idx[sl]]
+            # probe points x + t h d, one coordinate at a time into one buffer
+            probe = np.empty(t.shape + (n,))
+            for j in range(n):
+                np.multiply(t, step[sl, j, None], out=probe[..., j])
+                probe[..., j] += origin[sl, j, None]
+            vals = f(probe.reshape(-1, n)).reshape(t.shape)
+            vals -= f0p[sl, None]
+            sums[sl] = (vals * w).sum(axis=1)
+        # the panel sums of each ray in order; a bincount of no panels is int
+        total = np.bincount(ray, sums, stop.size).astype(float, copy=False)
+        if f.far is not None:
+            left = mass / surf - np.bincount(ray, w_all.sum(axis=1)[idx], stop.size)
+            total += (c - fr) * left
+        parts[b0:b0 + block] = total.reshape(-1, D) * ang_w
+    return dirs, parts
 
 
 def extend(params: Params, f: ScalarField, x, y, tol: float = 1e-8):
     """Reflected extension v(x, y) = (P_|y| * f)(x); equals f(x) at y = 0.
 
     ``x`` may be a single point or an array of shape (m, n), and ``y`` one
-    height for every row or an array of m heights, one per row.  The
-    convolution is computed in the scaled variable w = (z - x)/|y| with mean
-    subtraction, on a radial rule of dyadic panels.  Each row sums its
-    panels in order and stops at its own truncation radius, where the
-    declared growth envelope pushes the tail estimate below ``tol`` for that
-    row's |x| and height.  A field that declares ``far = (R, c)`` stops
-    earlier, at the first panel past which every probe point has |z| >= R,
-    and adds (c - f(x)) times the rule's kernel mass left beyond that panel.
-    So a row's value does not depend on the other rows of the call.
+    height for every row or an array of m heights, one per row.  In the
+    variable w = (z - x)/|y| the kernel is C (1 + |w|^2)^(-(n+1-a)/2), of
+    unit mass, and ``ray_integrals`` integrates f - f(x) against it.
     """
-    _check_growth(f, params.s)
+    if f.degree >= 2.0 * params.s:
+        raise FieldRejectedError(
+            f"field {f.description!r} (degree {f.degree}) is not integrable "
+            f"against (1+|x|)^-(n+2s) for s={params.s}")
     n, a = params.n, params.a
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x.reshape(-1, n)
     h = np.broadcast_to(np.abs(np.asarray(y, dtype=float)), (len(pts),))
-    if not np.any(h):
-        vals = f(pts)
-        return float(vals[0]) if single else vals
-    C = poisson_constant(n, a)
-    surf = sphere_area(n)
-
-    # each row's truncation radius from the envelope of |f(x + h w) - f(x)|
-    rx = np.linalg.norm(pts, axis=1)
-    terms = [(C * surf * 2.0 * f.envelope(rx), a - 1.0)]
-    if f.degree > 0:
-        terms.append((C * surf * 2.0 * f.scale * h ** f.degree,
-                      a - 1.0 + f.degree))
-    W = tail_radius(terms, 64.0, tol)
-    ends = _radial_breaks(float(W.max()))[1:]
-    # every W is a power of 2 from 64 on, so it is a panel end
-    stop = np.searchsorted(ends, W)
-    rows = np.arange(len(pts))
-    if f.far is not None:
-        R, c = f.far
-        # past panel k every probe point has |x + h t d| >= h ends[k] - |x|,
-        # and every point lies in the far field when R <= 0
-        past = (R <= 0.0) | (h[:, None] * ends >= (R + rx)[:, None])
-        reached = past[rows, stop]
-        stop = np.where(reached, past.argmax(axis=1), stop)
-    panels = int(stop.max()) + 1
-
-    t, wt = gauss_legendre(RADIAL_NODES, np.concatenate([[0.0], ends[:panels]]))
-    kern = C * (1.0 + t * t) ** (-0.5 * (n + 1.0 - a))
-    dirs, ang_w = angular_rule(n, 48)
-    panel_w = (wt * t ** (n - 1) * kern).reshape(panels, RADIAL_NODES)
-    t = t.reshape(panels, RADIAL_NODES)
-
     fx = f(pts)
-    # each row's panel sums, zero past its stop; only the (row, panel)
-    # pairs up to the stop are evaluated, EXTEND_POINTS probe points at a time
-    sums = np.zeros((len(pts), panels))
-    row, panel = np.nonzero(np.arange(panels) <= stop[:, None])
-    chunk = EXTEND_POINTS // RADIAL_NODES
-    for lo in range(0, len(row), chunk):
-        i, k = row[lo:lo + chunk], panel[lo:lo + chunk]
-        base, f0 = pts[i], fx[i, None]
-        # the angular sum of f - f(x) at each radial node
-        diff = np.zeros((len(i), RADIAL_NODES))
-        # probe points x + h t d, one coordinate at a time into one buffer
-        step = h[i, None] * t[k]
-        probe = np.empty((len(i), RADIAL_NODES, n))
-        for d, wa in zip(dirs, ang_w):
-            for j in range(n):
-                np.multiply(step, d[j], out=probe[..., j])
-                probe[..., j] += base[:, j, None]
-            vals = f(probe.reshape(-1, n)).reshape(len(i), RADIAL_NODES)
-            diff += wa * (vals - f0)
-        sums[i, k] = (diff * panel_w[k]).sum(axis=1)
-    # the panel sums in order, each row read at its own stop
-    out = fx + np.cumsum(sums, axis=1)[rows, stop]
-    if f.far is not None:
-        mass = ang_w.sum() * np.cumsum(panel_w.sum(axis=1))
-        out[reached] += (c - fx[reached]) * (1.0 - mass[stop[reached]])
+    out = fx.copy()
+    up = h > 0.0
+    if np.any(up):
+        C = poisson_constant(n, a)
+        p = n + 1.0 - a
+        _, parts = ray_integrals(f, pts[up], h[up],
+                                 lambda t: C * (1.0 + t * t) ** (-0.5 * p), p, 1.0,
+                                 (0.0, 1.0), tol, subtract=fx[up])
+        out[up] += parts.sum(axis=1)
     return float(out[0]) if single else out
 
 

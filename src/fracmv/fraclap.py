@@ -64,8 +64,8 @@ class ScalarField:
     ``evaluator`` receives an array of shape (m, n) and returns shape (m,).
     The field obeys |f(x)| <= scale * (1 + |x|)^degree; a bounded field has
     degree 0.  ``far = (R, c)`` declares that f(x) = c wherever |x| >= R, so
-    ``extend`` adds the kernel's mass beyond R in closed form instead of
-    evaluating the field there; None declares nothing.
+    ``extension.ray_integrals`` adds the kernel's mass beyond R in closed
+    form instead of evaluating the field there; None declares nothing.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -73,8 +73,9 @@ class ScalarField:
     degree: float = 0
     scale: float = 1.0
     description: str = ""
-    # radii of origin-centered spheres across which f is continuous but not
-    # smooth; quadratures place panel breaks on them
+    # radii of origin-centered spheres across which f is not analytic, as at
+    # a kink or an end of the support of smooth data; quadratures place
+    # panel breaks on them
     kink_radii: tuple = ()
     far: tuple | None = None
 
@@ -271,7 +272,10 @@ def make_field(name: str, n: int, s: float, r: float = 1.0, seed: int = 0) -> Sc
     if name == "ball_poisson":
         fld = sample_sharmonic(_ball_poisson_data(n, r, seed), r, s, n)
         fld.description = f"ball-poisson(n={n}, s={s}, seed={seed})"
-        # the exterior data, and so the field, is 0 past the window
-        fld.far = ((_WINDOW_START + _WINDOW_WIDTH) * r, 0.0)
+        # the exterior data, and so the field, is 0 past the window, whose
+        # end a rule that does not stop there needs as a break
+        edge = (_WINDOW_START + _WINDOW_WIDTH) * r
+        fld.kink_radii = (r, edge)
+        fld.far = (edge, 0.0)
         return fld
     raise ValueError(f"unknown field {name!r}; known: {', '.join(FIELD_NAMES)}")

@@ -15,7 +15,8 @@ d of an inner integral in r (see ``_radial_profile``):
 Its radial derivative gives the gradient components
 Psi^i(x) = Phi'(|x|) x_i / |x|.  Both are tabulated on a radial grid and
 continued beyond the grid by their power-law tails (exponent n+1-a for Phi,
-n+2-a for Psi); one radial convolution engine gives Phi_r * f and grad f.
+n+2-a for Psi).  Phi_r * f and grad f are integrals along rays, which
+``extension.ray_integrals`` computes for them as for the extension.
 ``phi_direct`` keeps the full vector geometry of the double integral and
 serves as the independent check of the table.
 """
@@ -31,10 +32,10 @@ import numpy as np
 from .bump import (SUPPORT_HI, SUPPORT_LO, BumpProfile, eta_raw, eta_raw_prime,
                    normalize)
 from .errors import TableMismatchError, ToleranceError
-from .extension import poisson_constant
+from .extension import poisson_constant, ray_integrals
 from .fraclap import Params, ScalarField
 from .quadrature import (angular_rule, gauss_jacobi, gauss_legendre,
-                         integrate_ball_weighted, sphere_area, tail_radius)
+                         integrate_ball_weighted, sphere_area)
 
 __all__ = [
     "RadialKernelTable",
@@ -62,6 +63,9 @@ D_JACOBI = 32   # Gauss-Jacobi nodes of the first distance panel (weight d^a)
 D_NODES = 64    # Gauss-Legendre nodes of every other distance panel
 R_NODES = 64    # Gauss-Legendre nodes of the inner r-integral
 
+# panel ends that resolve Phi and Phi', as the dense grid: on (0, 1/2, 1)
+# Gauss misses the mass of Phi by 1.1e-5 at n = 1, a = -0.5
+KERNEL_BODY = np.linspace(0.0, 2.0, 17)
 DIRECT_ANGULAR = 160        # directions of phi_direct's angular rule (n = 2)
 MAXIMAL_RESOLUTION = 64     # ball quadrature of the maximal-domination check
 
@@ -342,111 +346,34 @@ def build_table(params: Params, grid_spec: dict | None = None) -> RadialKernelTa
     return table
 
 
-def _conv_breaks(r: float, W: float) -> np.ndarray:
-    """Panel breaks on (0, W) in the scaled variable w = |x - z| / r.
-
-    Dense on [0, 2] where the kernel lives, then doubling panels; panels
-    are additionally capped at width 1/(4r) out to 8/r so that structure
-    of the field at unit scale in z stays resolved however small r is.
-    """
-    breaks = list(np.linspace(0.0, 2.0, 17))
-    b = 2.0
-    while b < W:
-        b = min(b * 2.0, W)
-        breaks.append(b)
-    cap = 0.25 / r
-    fine = [breaks[0]]
-    for hi in breaks[1:]:
-        lo = fine[-1]
-        if lo < 8.0 / r and hi - lo > cap:
-            parts = math.ceil((hi - lo) / cap)
-            fine.extend(lo + (hi - lo) * (j + 1) / parts for j in range(parts))
-        else:
-            fine.append(hi)
-    return np.asarray(fine)
-
-
-def _kink_crossings(x, r: float, d, kink_radii) -> list:
-    """Scaled radii w where the ray z = x - r w d crosses a kink sphere."""
-    out = []
-    xd = float(np.dot(x, d))
-    x2 = float(np.dot(x, x))
-    for c in kink_radii:
-        disc = xd * xd - (x2 - c * c)
-        if disc < 0.0:
-            continue
-        root = math.sqrt(disc)
-        for wv in ((xd - root) / r, (xd + root) / r):
-            if wv > 0.0:
-                out.append(wv)
-    return out
-
-
-def _convolve_radial(table: RadialKernelTable, kernel_of, tail_exponent: float,
-                     f: ScalarField, x, r: float, tol: float, angular: int,
-                     subtract: float = 0.0):
-    """Radial convolution int K(w) (f(x - r w) - subtract) dw, per direction.
-
-    The integral beyond the table range is continued by the power-law tail
-    of exponent ``tail_exponent`` and truncated at the radius W where the
-    declared growth envelope bounds the remainder below ``tol``.  Returns
-    the directions d and the weighted integrals along each of them.
-    """
-    n = table.params.n
-    x = np.asarray(x, dtype=float).reshape(-1)
-    surf = sphere_area(n)
-    rmax = table.rmax
-    coef = abs(kernel_of(rmax)) * rmax ** tail_exponent
-
-    # |f - subtract| <= envelope(|x|) + |subtract| + scale (r w)^degree
-    p1 = n - tail_exponent  # exponent of the tail integral for a flat envelope
-    flat = f.envelope(float(np.linalg.norm(x))) + abs(subtract)
-    terms = [(surf * coef * flat, p1)]
-    if f.degree > 0:
-        terms.append((surf * coef * f.scale * r ** f.degree, p1 + f.degree))
-    W = tail_radius(terms, 4.0 * rmax, tol)
-
-    breaks = _conv_breaks(r, W)
-    dirs, ang_w = angular_rule(n, angular)
-    parts = []
-    for d, wa in zip(dirs, ang_w):
-        # break the panels where the ray crosses a kink of f
-        kinks = [c for c in _kink_crossings(x, r, d, f.kink_radii) if c < W]
-        nodes, weights = gauss_legendre(8, np.unique(np.concatenate([breaks, kinks])))
-        kern = kernel_of(nodes) * nodes ** (n - 1) * weights
-        pts = x[None, :] - r * nodes[:, None] * d[None, :]
-        parts.append(wa * float(kern @ (f(pts) - subtract)))
-    return dirs, parts
-
-
 def phi_r_convolve(table: RadialKernelTable, f: ScalarField, x, r: float,
-                   tol: float = 1e-5, angular: int = 64) -> float:
-    """Mean value convolution (Phi_r * f)(x) with Phi_r(x) = r^-n Phi(x/r)."""
+                   tol: float = 1e-5) -> float:
+    """Mean value convolution (Phi_r * f)(x) with Phi_r(x) = r^-n Phi(x/r).
+
+    The kernel's mass is the table's own, which a constant field reads.
+    """
     n, a = table.params.n, table.params.a
-    _, parts = _convolve_radial(table, table.phi_of, n + 1.0 - a, f, x, r,
-                                tol, angular)
-    return float(sum(parts))
+    _, parts = ray_integrals(f, x, r, table.phi_of, n + 1.0 - a, table.mass(),
+                             KERNEL_BODY, tol)
+    return float(parts.sum())
 
 
 def gradient_of_solution(table: RadialKernelTable, f: ScalarField, x,
-                         r: float, tol: float = 1e-5,
-                         angular: int = 64) -> np.ndarray:
+                         r: float, tol: float = 1e-5) -> np.ndarray:
     """Gradient of an s-harmonic f from the kernel-derivative representation.
 
-    Components are (1/r) * integral of (f(z) - f(x)) Psi^i_r(x - z) dz,
-    written in the scaled variable w = (x - z)/r.  The mean-zero form keeps
-    the integrand small away from x, and the tail beyond the table range is
-    continued with the gradient decay exponent n + 2 - a.
+    Components are (1/r) * integral of (f(z) - f(x)) Psi^i_r(x - z) dz, in
+    w = (z - x)/r with Psi^i(-w) = -Phi'(|w|) w_i/|w|.  The mean-zero form
+    keeps the integrand small away from x.
     """
     n, a = table.params.n, table.params.a
     x = np.asarray(x, dtype=float).reshape(-1)
-    fx = float(f(x[None, :])[0])
-    dirs, parts = _convolve_radial(table, table.psi_radial_of, n + 2.0 - a,
-                                   f, x, r, tol, angular, subtract=fx)
-    grad = np.zeros(n)
-    for d, part in zip(dirs, parts):
-        grad += part * d
-    return grad / r
+    fx = f(x[None, :])
+    # Phi' has one mass along every direction, which cancels from the sum
+    # over +-d, so 0 stands in for it
+    dirs, parts = ray_integrals(f, x, r, table.psi_radial_of, n + 2.0 - a, 0.0,
+                                KERNEL_BODY, tol, subtract=fx)
+    return -(parts[0] @ dirs) / r
 
 
 def extension_mean_value(profile: BumpProfile, v, x, r: float) -> float:

@@ -193,3 +193,20 @@ def psi(profile, X):
     """psi(X) = zeta(|X|) for points X of shape (m, n+1); 0 past |X| = 3/4."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     return zeta(profile, np.linalg.norm(X, axis=-1))
+
+
+def extend_quad(f, a: float, x: float, h: float, breaks) -> float:
+    """(P_h * f)(x) at n = 1 by ``scipy.integrate.quad``, piece by piece.
+
+    ``f`` must vanish outside the span of ``breaks``; each piece between
+    adjacent breaks is integrated to 1e-14 absolute, so the breaks must hold
+    every point where f is not smooth.
+    """
+    from scipy.integrate import quad
+
+    def integrand(z):
+        return poisson_kernel(1, a, np.array([x - z]), h) * f(np.array([z]))
+
+    ends = sorted(breaks)
+    return sum(quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=500)[0]
+               for lo, hi in zip(ends[:-1], ends[1:]))

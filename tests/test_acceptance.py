@@ -24,10 +24,6 @@ FULL_MATRIX = [(1, -0.5), (1, 0.0), (1, 0.5),
                (2, -0.5), (2, 0.0), (2, 0.5)]
 CORE_MATRIX = [(1, -0.5), (1, 0.0), (1, 0.5), (2, 0.0)]
 
-# n = 2 convolutions at 64 angular nodes cost twice as much as at 32 for
-# identical residuals (~5e-8 versus the 5e-4 allowances used here)
-ANGULAR = {1: 64, 2: 32}
-
 
 def _report(num: int, name: str, failures: list):
     status = "FAIL" if failures else "PASS"
@@ -108,8 +104,7 @@ def test_criterion_3_mean_value_formula(get_table):
                 delta = domain.distance_to_boundary(x)
                 fx = f(x)
                 for r in (delta / 4.0, delta / 2.0):
-                    val = phi_r_convolve(table, f, x, r, tol=5e-5,
-                                         angular=ANGULAR[n])
+                    val = phi_r_convolve(table, f, x, r, tol=5e-5)
                     if abs(val - fx) > 5e-4 * (1.0 + abs(fx)):
                         failures.append(
                             f"|res|={abs(val - fx):.2e} field="
@@ -127,21 +122,23 @@ def test_criterion_4_extension_formula(get_profile):
         # closed-form solutions of the extension equation: a constant, and
         # the quadratic |x|^2 - n y^2/(1+a) (even in y, degenerate-harmonic
         # for every a); plus a numerically extended s-harmonic sample where
-        # the nested quadrature is affordable
+        # the nested quadrature is affordable.  Its budget: the worst
+        # recovery is 4.7e-7 (1 + |f|) and the worst spread 2.3e-7, both at
+        # a = 0.5, where extend without kink breaks gave 7.1e-6 and 1.0e-5
         cases = [
             ("constant", lambda Z: np.ones(len(np.atleast_2d(Z))),
-             lambda x: 1.0),
+             lambda x: 1.0, 5e-4),
             ("quadratic",
              lambda Z, c=n / (1.0 + a): (np.atleast_2d(Z)[:, :n] ** 2)
              .sum(axis=1) - c * np.atleast_2d(Z)[:, -1] ** 2,
-             lambda x: float((x ** 2).sum())),
+             lambda x: float((x ** 2).sum()), 5e-4),
         ]
         if n == 1:
             f = make_field("ball_poisson", n, s, seed=0)
             ext = reflected_extension(Params(n=n, a=a), f)
-            cases.append(("ball_poisson", ext, lambda x, f=f: f(x)))
+            cases.append(("ball_poisson", ext, lambda x, f=f: f(x), 1e-6))
 
-        for name, v, boundary in cases:
+        for name, v, boundary, bound in cases:
             for x in _interior_points(n, count=3):
                 x = np.atleast_1d(x)
                 delta = domain.distance_to_boundary(x)
@@ -149,12 +146,12 @@ def test_criterion_4_extension_formula(get_profile):
                 vals = [extension_mean_value(prof, v, x, frac * delta)
                         for frac in (0.1, 0.2, 0.4)]
                 for val in vals:
-                    if abs(val - fx) > 5e-4 * (1.0 + abs(fx)):
+                    if abs(val - fx) > bound * (1.0 + abs(fx)):
                         failures.append(
                             f"recovery {abs(val - fx):.2e} {name} x={x} "
                             f"(n={n}, a={a})")
                 spread = max(vals) - min(vals)
-                if spread > 5e-4:
+                if spread > bound:
                     failures.append(f"spread {spread:.2e} {name} x={x} "
                                     f"(n={n}, a={a})")
 

@@ -13,8 +13,9 @@ from fracmv.errors import FieldRejectedError, ToleranceError
 from fracmv.extension import (EXTEND_POINTS, RADIAL_NODES, _radial_breaks, extend,
                               poisson_constant, reflected_extension)
 from fracmv.fraclap import Params, make_field
+from fracmv.kernel import gradient_of_solution, phi_r_convolve
 from fracmv.quadrature import gauss_legendre
-from oracles import adaptive_simpson, poisson_kernel
+from oracles import adaptive_simpson, extend_quad, poisson_kernel
 
 
 def test_constant_classical_value():
@@ -142,7 +143,7 @@ def test_radial_rule_matches_panel_loop(W):
         nodes.append(x)
         weights.append(w)
         lo, hi = hi, min(hi * 2.0, W)
-    t, wt = gauss_legendre(RADIAL_NODES, _radial_breaks(W))
+    t, wt = gauss_legendre(RADIAL_NODES, _radial_breaks(W, (0.0, 0.5, 1.0)))
     np.testing.assert_array_equal(t, np.concatenate(nodes))
     np.testing.assert_array_equal(wt, np.concatenate(weights))
 
@@ -244,6 +245,41 @@ def test_far_field_stop_matches_full_integral(n, a):
     stopped = extend(p, f, x, y)
     full = extend(p, dataclasses.replace(f, far=None), x, y)
     assert np.max(np.abs(stopped - full)) <= 1e-8
+
+
+@pytest.mark.parametrize("a,budget", [(-0.5, 5e-8), (0.5, 8e-7)])
+def test_extend_matches_quad_on_ball_poisson(a, budget):
+    # the rays break where they cross the kink |z| = 1: the error is 1.9e-8
+    # at a = -0.5 and 5.9e-7 at a = 0.5, against 1.16e-5 and 1.07e-4
+    # without the break
+    p = Params(n=1, a=a)
+    f = make_field("ball_poisson", 1, p.s)
+    ref = extend_quad(f, a, 0.0, 0.4, (-3.3, -1.2, -1.0, 0.0, 1.0, 1.2, 3.3))
+    assert abs(extend(p, f, np.zeros(1), 0.4, tol=1e-8) - ref) < budget
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_no_probe_past_the_far_field(get_table, n):
+    # ball_poisson is 0 from |z| = 3.3 r on (r = 1), so every ray stops there
+    p = Params(n=n, a=0.0)
+    f = make_field("ball_poisson", n, p.s, seed=1)
+    assert f.far[0] == pytest.approx(3.3)
+    largest = []
+
+    def evaluator(points):
+        largest.append(np.linalg.norm(points, axis=1).max())
+        return f.evaluator(points)
+
+    g = dataclasses.replace(f, evaluator=evaluator)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-0.6, 0.6, (6, n))
+    extend(p, g, x, np.array([0.01, 0.05, 0.1, 0.3, 1.0, 3.0]))
+    table = get_table(n, 0.0)
+    for xi in x[:2]:
+        for r in (0.05, 0.4):
+            phi_r_convolve(table, g, xi, r)
+            gradient_of_solution(table, g, xi, r)
+    assert max(largest) < f.far[0]
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,9 @@ from fracmv.bump import SUPPORT_HI
 from fracmv.errors import TableMismatchError
 from fracmv.fraclap import Params, make_field
 from fracmv.kernel import (DEFAULT_GRID, _CubicSpline, build_table,
-                           extension_mean_value, phi_direct, phi_r_convolve,
-                           read_table, verify_kernel_properties, write_table)
+                           extension_mean_value, gradient_of_solution,
+                           phi_direct, phi_r_convolve, read_table,
+                           verify_kernel_properties, write_table)
 from fracmv.quadrature import gauss_legendre
 
 
@@ -104,6 +106,16 @@ class TestMeanValue:
         val = phi_r_convolve(table_n1_a0, f, x, 0.15)
         assert_allclose(val, f(x), atol=5e-4)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_constant_reads_table_mass(self, get_table, n):
+        # the constant is its far field everywhere, so the convolution is
+        # the kernel's mass in closed form: the table's own, not 1
+        t = get_table(n, 0.5)
+        f = make_field("constant", n, t.params.s)
+        for r in (0.1, 0.5, 2.0):
+            val = phi_r_convolve(t, f, np.full(n, 0.2), r)
+            assert abs(val - t.mass()) <= 1e-12
+
     def test_residual_independent_of_radius(self, table_n1_a0):
         # for an exact solution the defect must not grow with r
         f = make_field("ball_poisson", 1, 0.5, seed=2)
@@ -111,6 +123,28 @@ class TestMeanValue:
         errs = [abs(phi_r_convolve(table_n1_a0, f, x, r) - f(x))
                 for r in (0.05, 0.1, 0.2)]
         assert max(errs) < 5e-4
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("a", [-0.5, 0.5])
+@pytest.mark.parametrize("name", ["constant", "ball_poisson"])
+@pytest.mark.parametrize("fn", [phi_r_convolve, gradient_of_solution],
+                         ids=["phi_r_convolve", "gradient_of_solution"])
+def test_far_field_stop_matches_full_integral(get_table, fn, name, a, n):
+    # a ray stops where the field reaches its far constant and adds the
+    # rest of the kernel mass in closed form; without far it integrates the
+    # constant out to W.  The gradient is the integral over r
+    table = get_table(n, a)
+    f = make_field(name, n, table.params.s, seed=2)
+    assert f.far is not None
+    full_f = dataclasses.replace(f, far=None)
+    tol = 1e-5
+    for x in (np.zeros(n), np.full(n, -0.4)):
+        for r in (0.05, 0.4):
+            stopped = fn(table, f, x, r, tol=tol)
+            full = fn(table, full_f, x, r, tol=tol)
+            scale = r if fn is gradient_of_solution else 1.0
+            assert np.max(np.abs(stopped - full)) * scale <= tol
 
 
 class TestPsiComponent:
