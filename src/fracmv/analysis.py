@@ -119,16 +119,26 @@ def _ball_cells(center, radius: float, m: int):
     return pts[(pts ** 2).sum(axis=1) < radius * radius] + center, cell
 
 
-def _ball_points(center, radius: float, resolution: int) -> np.ndarray:
-    """Midpoint sample points of the ball, shape (m, n)."""
-    m = resolution
-    if np.size(center) > 1:
-        m = max(4, int(round(math.sqrt(resolution) * 2)))
-    return _ball_cells(center, radius, m)[0]
-
-
 def _ball_measure(n: int, radius: float) -> float:
     return 2.0 * radius if n == 1 else math.pi * radius * radius
+
+
+def _ball_means(f: ScalarField, x, family: BallFamily, fx: float):
+    """Yield (radius, means): the mean of |f - fx| over each ball of a radius.
+
+    The midpoint cells of a radius are built once and shifted to every
+    center, so each radius costs one field call; ``means`` holds one value
+    per center, in the order of ``family.centers``.
+    """
+    n = x.size
+    m = family.resolution
+    if n > 1:
+        m = max(4, int(round(math.sqrt(m) * 2)))
+    for radius in family.radii():
+        cells = _ball_cells(np.zeros(n), radius, m)[0]
+        centers = family.centers(x, radius)
+        vals = f((centers[:, None, :] + cells[None, :, :]).reshape(-1, n))
+        yield radius, np.abs(vals - fx).reshape(len(centers), -1).mean(axis=1)
 
 
 def sharp_maximal(f: ScalarField, x, lam: float, family: BallFamily) -> float:
@@ -142,24 +152,15 @@ def sharp_maximal(f: ScalarField, x, lam: float, family: BallFamily) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = x.size
     fx = float(f(x[None, :])[0])
-    best = 0.0
-    for radius in family.radii():
-        for c in family.centers(x, radius):
-            pts = _ball_points(c, radius, family.resolution)
-            avg = float(np.mean(np.abs(f(pts) - fx)))
-            best = max(best, _ball_measure(n, radius) ** (-lam / n) * avg)
-    return best
+    return max(float(np.max(_ball_measure(n, radius) ** (-lam / n) * means))
+               for radius, means in _ball_means(f, x, family, fx))
 
 
 def hl_maximal(f: ScalarField, x, family: BallFamily) -> float:
     """Hardy-Littlewood maximal function of |f| over the finite family."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    best = 0.0
-    for radius in family.radii():
-        for c in family.centers(x, radius):
-            pts = _ball_points(c, radius, family.resolution)
-            best = max(best, float(np.mean(np.abs(f(pts)))))
-    return best
+    return max(float(np.max(means))
+               for _, means in _ball_means(f, x, family, 0.0))
 
 
 @dataclass(frozen=True)
@@ -279,15 +280,15 @@ def _lp_norm(f: ScalarField, p: float, half_width: float, grid: int) -> float:
 
 def weighted_gradient_besov_ratio(table: RadialKernelTable, f: ScalarField,
                                   domain: Domain, lam: float, p: float,
-                                  grid_count: int = 9, window: float = 1.0,
+                                  grid_count: int = 9,
                                   field_id: str = "field") -> ReportRow:
     """Ratio of the boundary-weighted gradient norm to the smoothness norm.
 
     Numerator: (sum over an interior midpoint grid of
     |delta(x)^(1-lambda) grad f(x)|^p times the cell measure)^(1/p), with
     the gradient taken from the kernel representation at r = delta(x)/2.
-    Denominator: the difference seminorm plus the local p-norm.  A zero
-    field reports ratio 0.
+    Denominator: the difference seminorm over increments |h| <= 1 plus the
+    local p-norm.  A zero field reports ratio 0.
     """
     pts, cell = _ball_cells(domain.center, domain.radius, grid_count)
     acc = 0.0
@@ -300,7 +301,7 @@ def weighted_gradient_besov_ratio(table: RadialKernelTable, f: ScalarField,
     numerator = acc ** (1.0 / p)
 
     diameter = 2.0 * domain.radius
-    besov = besov_seminorm(f, lam, p, window, half_width=diameter,
+    besov = besov_seminorm(f, lam, p, 1.0, half_width=diameter,
                            grid=48, shells=10)
     denom = besov.value + _lp_norm(f, p, diameter, 48)
     ratio = 0.0 if denom == 0.0 else numerator / denom

@@ -19,7 +19,7 @@ import numpy as np
 from .analysis import (Domain, gradient_sharp_ratio, rows_to_csv,
                        weighted_gradient_besov_ratio)
 from .bump import normalize
-from .errors import FracmvError, TableMismatchError, ToleranceError
+from .errors import FracmvError, TableMismatchError
 from .extension import reflected_extension
 from .fraclap import FIELD_NAMES, Params, make_field
 from .kernel import (DEFAULT_GRID, RadialKernelTable, build_table,
@@ -396,9 +396,6 @@ def main(argv=None) -> int:
     except TableMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except ToleranceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -198,7 +198,7 @@ def extend(params: Params, f: ScalarField, x, y, tol: float = 1e-8):
     return float(out[0]) if single else out
 
 
-def reflected_extension(params: Params, f: ScalarField, tol: float = 1e-8):
+def reflected_extension(params: Params, f: ScalarField):
     """Evaluator for v(z, y) on R^{n+1}, batched over rows of any height.
 
     Accepts an array of shape (m, n+1).  The heights are folded to |y|, so
@@ -215,6 +215,6 @@ def reflected_extension(params: Params, f: ScalarField, tol: float = 1e-8):
         back = np.empty(len(rows), dtype=np.intp)
         back[order] = np.cumsum(first) - 1
         rows = rows[first]
-        return extend(params, f, rows[:, :-1], rows[:, -1], tol=tol)[back]
+        return extend(params, f, rows[:, :-1], rows[:, -1])[back]
 
     return v

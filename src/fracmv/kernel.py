@@ -33,7 +33,7 @@ from .bump import (SUPPORT_HI, SUPPORT_LO, BumpProfile, eta_raw, eta_raw_prime,
                    normalize)
 from .errors import TableMismatchError, ToleranceError
 from .extension import poisson_constant, ray_integrals
-from .fraclap import Params, ScalarField
+from .fraclap import Params, ScalarField, make_field
 from .quadrature import (angular_rule, gauss_jacobi, gauss_legendre,
                          integrate_ball_weighted, sphere_area)
 
@@ -241,6 +241,15 @@ class _CubicSpline:
             s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
         return np.array(s)
 
+    def integral(self, power: int = 0) -> float:
+        """Exact integral of r^power s(r) over [x[0], x[-1]], power 0 or 1."""
+        x0, dx = self.x[:-1], np.diff(self.x)
+        k = np.arange(4.0, 0.0, -1.0)[:, None]  # 1 + the power of each row
+        core = self.coef * dx ** k / k
+        if power == 1:  # weight r = x0 + h on each piece
+            core = x0 * core + self.coef * dx ** (k + 1.0) / (k + 1.0)
+        return float(core.sum())
+
     def __call__(self, r, derivative: bool = False):
         """Values, or first derivatives, at the points of the array r."""
         # piece i spans [x[i], x[i+1]); the end pieces extend outward
@@ -305,15 +314,9 @@ class RadialKernelTable:
         power-law tail beyond it in closed form.
         """
         n, a = self.params.n, self.params.a
-        x0, dx = self.rho_grid[:-1], np.diff(self.rho_grid)
-        coef = self._phi_spline.coef
-        k = np.arange(4.0, 0.0, -1.0)[:, None]  # 1 + the power of each row
-        core = coef * dx ** k / k
-        if n == 2:  # weight rho = x0 + h on each piece
-            core = x0 * core + coef * dx ** (k + 1.0) / (k + 1.0)
         p = n + 1.0 - a
         tail = self.phi_values[-1] * self.rmax ** n / (p - n)
-        return sphere_area(n) * (float(core.sum()) + tail)
+        return sphere_area(n) * (self._phi_spline.integral(n - 1) + tail)
 
 
 def build_table(params: Params, grid_spec: dict | None = None) -> RadialKernelTable:
@@ -359,7 +362,7 @@ def phi_r_convolve(table: RadialKernelTable, f: ScalarField, x, r: float,
 
 
 def gradient_of_solution(table: RadialKernelTable, f: ScalarField, x,
-                         r: float, tol: float = 1e-5) -> np.ndarray:
+                         r: float) -> np.ndarray:
     """Gradient of an s-harmonic f from the kernel-derivative representation.
 
     Components are (1/r) * integral of (f(z) - f(x)) Psi^i_r(x - z) dz, in
@@ -372,7 +375,7 @@ def gradient_of_solution(table: RadialKernelTable, f: ScalarField, x,
     # Phi' has one mass along every direction, which cancels from the sum
     # over +-d, so 0 stands in for it
     dirs, parts = ray_integrals(f, x, r, table.psi_radial_of, n + 2.0 - a, 0.0,
-                                KERNEL_BODY, tol, subtract=fx)
+                                KERNEL_BODY, 1e-5, subtract=fx)
     return -(parts[0] @ dirs) / r
 
 
@@ -423,12 +426,9 @@ def _fit_exponent(table: RadialKernelTable, values: np.ndarray) -> float:
     return float(np.polyfit(np.log(table.rho_grid[sel]), logs, 1)[0])
 
 
-def _grad_psi_sup(table: RadialKernelTable, stride: int = 1) -> float:
-    """Bound for sup |grad Psi^i| from the tabulated radial derivative."""
-    grid = table.rho_grid[::stride]
-    psi = table.psi_profile[::stride]
-    spline = _CubicSpline(grid, psi)
-    sample = np.linspace(grid[0], grid[-1], 2001)[1:]
+def _grad_psi_sup(spline: _CubicSpline) -> float:
+    """Bound for sup |grad Psi^i| from a spline of the radial derivative."""
+    sample = np.linspace(spline.x[0], spline.x[-1], 2001)[1:]
     d2 = np.abs(spline(sample, derivative=True))
     ratio = np.abs(spline(sample) / sample)
     return float(np.max(d2 + ratio))
@@ -438,7 +438,6 @@ def verify_kernel_properties(table: RadialKernelTable,
                              fields=None) -> PropertyReport:
     """Run the seven structural checks of the kernel and report constants."""
     from .analysis import BallFamily, hl_maximal  # deferred: avoids a cycle
-    from .fraclap import make_field
 
     n, a = table.params.n, table.params.a
     profile = table.profile
@@ -494,8 +493,7 @@ def verify_kernel_properties(table: RadialKernelTable,
     psi0 = abs(table.psi_profile[0])
     checks.append(PropertyCheck("gradient_zero_at_origin", psi0 <= 1e-6,
                                 psi0, 1e-6))
-    u, wu = gauss_legendre(800, (0.0, table.rmax))
-    ftc = float(wu @ table.psi_radial_of(u)) \
+    ftc = table._psi_spline.integral() \
         - (table.phi_of(table.rmax) - table.phi_of(0.0))
     checks.append(PropertyCheck("gradient_zero_mean", abs(ftc) <= 1e-4,
                                 abs(ftc), 1e-4,
@@ -509,8 +507,9 @@ def verify_kernel_properties(table: RadialKernelTable,
                                 slope, 0.1, detail=f"target={target}"))
 
     # (g) boundedness of grad Psi, stable under 2x grid coarsening
-    g_full = _grad_psi_sup(table, stride=1)
-    g_half = _grad_psi_sup(table, stride=2)
+    g_full = _grad_psi_sup(table._psi_spline)
+    g_half = _grad_psi_sup(_CubicSpline(table.rho_grid[::2],
+                                        table.psi_profile[::2]))
     rel = abs(g_full - g_half) / g_full
     ok = np.isfinite(g_full) and rel <= 0.1
     checks.append(PropertyCheck("gradient_derivative_bounded", bool(ok),

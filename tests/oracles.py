@@ -5,11 +5,14 @@ fracmv's results must satisfy: adaptive Simpson against the Gauss rules,
 the extension and ball Poisson kernels in their defining forms, the
 ball-Poisson field as the direct sum over every shell node, the fractional
 Laplacian by symmetric second differences, which vanishes on the
-s-harmonic test fields, and the bump's potential psi, whose gradient is
-phi(X) X.
+s-harmonic test fields, the bump's potential psi, whose gradient is
+phi(X) X, and the maximal functions as one field call per ball.
 """
+import math
+
 import numpy as np
 
+from fracmv.analysis import _ball_cells, _ball_measure
 from fracmv.bump import SUPPORT_HI, SUPPORT_LO, eta_raw
 from fracmv.extension import poisson_constant
 from fracmv.fraclap import _ball_poisson_normalizer, _shell_nodes
@@ -210,3 +213,36 @@ def extend_quad(f, a: float, x: float, h: float, breaks) -> float:
     ends = sorted(breaks)
     return sum(quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=500)[0]
                for lo, hi in zip(ends[:-1], ends[1:]))
+
+
+def _ball_points(center, radius: float, resolution: int):
+    """Midpoint sample points of one ball, shape (m, n)."""
+    m = resolution
+    if np.size(center) > 1:
+        m = max(4, int(round(math.sqrt(resolution) * 2)))
+    return _ball_cells(center, radius, m)[0]
+
+
+def sharp_maximal_loop(f, x, lam: float, family) -> float:
+    """``analysis.sharp_maximal`` with one field call per ball of the family."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n = x.size
+    fx = float(f(x[None, :])[0])
+    best = 0.0
+    for radius in family.radii():
+        for c in family.centers(x, radius):
+            pts = _ball_points(c, radius, family.resolution)
+            avg = float(np.mean(np.abs(f(pts) - fx)))
+            best = max(best, _ball_measure(n, radius) ** (-lam / n) * avg)
+    return best
+
+
+def hl_maximal_loop(f, x, family) -> float:
+    """``analysis.hl_maximal`` with one field call per ball of the family."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    best = 0.0
+    for radius in family.radii():
+        for c in family.centers(x, radius):
+            pts = _ball_points(c, radius, family.resolution)
+            best = max(best, float(np.mean(np.abs(f(pts)))))
+    return best

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import hl_maximal_loop, sharp_maximal_loop
 
 from fracmv.analysis import (BallFamily, Domain, ReportRow, besov_seminorm,
                              gradient_of_solution, gradient_sharp_ratio,
@@ -85,6 +88,37 @@ class TestSharpMaximal:
         f = make_field("constant", 1, 0.5)
         with pytest.raises(ValueError):
             sharp_maximal(f, np.zeros(1), 1.2, BallFamily())
+
+
+class TestBallMeans:
+    # both maximal functions sample every ball of a radius in one field call
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("name", ["ball_poisson", "gaussian"])
+    def test_equal_to_one_call_per_ball(self, n, name):
+        f = make_field(name, n, 0.5, seed=1)
+        fam = BallFamily(r_min=1e-2, r_max=4.0, resolution=48)
+        for x in (np.zeros(n), np.full(n, 0.3)):
+            assert sharp_maximal(f, x, 0.5, fam) == sharp_maximal_loop(f, x, 0.5, fam)
+            assert hl_maximal(f, x, fam) == hl_maximal_loop(f, x, fam)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_field_call_per_radius(self, n):
+        calls = []
+        base = make_field("ball_poisson", n, 0.5, seed=1)
+
+        def counted(pts):
+            calls.append(len(pts))
+            return base.evaluator(pts)
+
+        f = dataclasses.replace(base, evaluator=counted)
+        fam = BallFamily(r_min=1e-2, r_max=4.0)
+        x = np.full(n, 0.3)
+        hl_maximal(f, x, fam)
+        assert len(calls) == len(fam.radii())
+        calls.clear()
+        sharp_maximal(f, x, 0.5, fam)
+        assert len(calls) == len(fam.radii()) + 1  # and one for f(x)
 
 
 class TestHlMaximal:

@@ -133,7 +133,8 @@ class TestMeanValue:
 def test_far_field_stop_matches_full_integral(get_table, fn, name, a, n):
     # a ray stops where the field reaches its far constant and adds the
     # rest of the kernel mass in closed form; without far it integrates the
-    # constant out to W.  The gradient is the integral over r
+    # constant out to W.  The gradient is the integral over r.  Both
+    # functions truncate their rays at the tail tolerance 1e-5
     table = get_table(n, a)
     f = make_field(name, n, table.params.s, seed=2)
     assert f.far is not None
@@ -141,8 +142,8 @@ def test_far_field_stop_matches_full_integral(get_table, fn, name, a, n):
     tol = 1e-5
     for x in (np.zeros(n), np.full(n, -0.4)):
         for r in (0.05, 0.4):
-            stopped = fn(table, f, x, r, tol=tol)
-            full = fn(table, full_f, x, r, tol=tol)
+            stopped = fn(table, f, x, r)
+            full = fn(table, full_f, x, r)
             scale = r if fn is gradient_of_solution else 1.0
             assert np.max(np.abs(stopped - full)) * scale <= tol
 
@@ -212,6 +213,18 @@ def _assert_spline_matches_scipy(x, y, r):
             1e-15 * np.max(np.abs(expected)))
 
 
+def _assert_integral_matches_scipy(x, y):
+    # power 0 against scipy's exact integral, power 1 against 3 Gauss nodes
+    # on each piece, which are exact for r times a cubic; each within 1e-14
+    # of the integral of the absolute integrand
+    ours, ref = _CubicSpline(x, y), CubicSpline(x, y)
+    r, w = gauss_legendre(3, x)
+    for power, expected in ((0, ref.integrate(x[0], x[-1])),
+                            (1, w @ (r * ref(r)))):
+        size = w @ np.abs(r ** power * ref(r))
+        assert abs(ours.integral(power) - expected) <= 1e-14 * size
+
+
 class TestSpline:
     @pytest.mark.parametrize("n", [1, 2])
     def test_matches_scipy_on_default_grid(self, get_table, n):
@@ -229,6 +242,18 @@ class TestSpline:
         x = np.array([0.0, 0.3, 1.1, 2.0])[:size]
         y = np.array([1.0, -0.5, 0.25, 2.0])[:size]
         _assert_spline_matches_scipy(x, y, np.linspace(-0.5, 2.5, 61))
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_integral_on_few_nodes(self, size):
+        x = np.array([0.0, 0.3, 1.1, 2.0])[:size]
+        y = np.array([1.0, -0.5, 0.25, 2.0])[:size]
+        _assert_integral_matches_scipy(x, y)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_integral_on_default_grid(self, get_table, n):
+        t = get_table(n, 0.0)
+        for values in (t.phi_values, t.psi_profile):
+            _assert_integral_matches_scipy(t.rho_grid, values)
 
     @pytest.mark.parametrize("x,y", [
         ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]),   # a repeated node
@@ -270,6 +295,16 @@ class TestPropertyReport:
         report = verify_kernel_properties(table_n1_a0)
         failing = [c.name for c in report.checks if not c.passed]
         assert report.passed, f"failing checks: {failing}"
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("a", [-0.5, 0.0, 0.5])
+    def test_gradient_zero_mean_reads_the_table(self, get_table, n, a):
+        # the Phi' spline integrated exactly meets Phi(rmax) - Phi(0) to
+        # 4.7e-10..1.2e-9; an 800-node Gauss rule on [0, rmax] read 9.3e-8
+        # at n = 1, a = -0.5, its own error rather than the table's
+        report = verify_kernel_properties(get_table(n, a), fields=[])
+        row, = [c for c in report.checks if c.name == "gradient_zero_mean"]
+        assert row.measured < 2e-9
 
     def test_report_rows_have_expected_shape(self, table_n1_a0):
         report = verify_kernel_properties(table_n1_a0)
