@@ -24,7 +24,7 @@ __all__ = ["poisson_constant", "ray_integrals", "extend", "reflected_extension"]
 RADIAL_NODES = 12  # Gauss nodes per panel of the radial rule
 DIRECTIONS = 48    # directions of the angular rule (n = 2)
 EXTEND_POINTS = 2048  # probe points per field call
-RAY_LIST = 256  # rays in one ragged list of panels: bounds its memory
+RAY_BLOCK = 256  # rays whose panels form one array: bounds its memory
 
 
 def poisson_constant(n: int, a: float) -> float:
@@ -46,6 +46,22 @@ def _radial_breaks(W: float, body):
     return np.append(breaks[breaks < W], W)
 
 
+def _ray_panels(ends, stop, cuts):
+    """Panels (ray, lo, hi) of rays that stop at ``stop``, ray by ray in order.
+
+    A ray's panel ends are the shared ``ends[1:]`` and its own row of
+    ``cuts`` (inf where it has none), each capped at its stop.  Each end
+    closes the panel that its left neighbour, or 0, opens; empty panels drop.
+    """
+    shared = np.broadcast_to(ends[1:], (stop.size, ends.size - 1))
+    hi = np.minimum(np.concatenate([shared, cuts], axis=1), stop[:, None])
+    hi.sort(axis=1)
+    lo = np.zeros_like(hi)
+    lo[:, 1:] = hi[:, :-1]
+    ray, col = np.nonzero(hi > lo)
+    return ray, lo[ray, col], hi[ray, col]
+
+
 def ray_integrals(f: ScalarField, x, scale, kernel, tail: float, mass: float,
                   body, tol: float, subtract=0.0):
     """Integrals of f along rays from each row against a radial kernel K.
@@ -60,7 +76,9 @@ def ray_integrals(f: ScalarField, x, scale, kernel, tail: float, mass: float,
     ``far = (R, c)`` where it leaves |z| < R if that comes first.  Past its
     stop it takes f = c: it adds (c - f0_i) times mass / |S^(n-1)| less its
     rule's kernel mass.  Its rule has RADIAL_NODES Gauss nodes on each panel
-    of ``_radial_breaks``, split where it crosses a ``f.kink_radii`` sphere.
+    between its panel ends: the ends of ``_radial_breaks`` and its crossings
+    of the ``f.kink_radii`` spheres, capped at its stop and sorted, one row
+    of an array per ray (``_ray_panels``).
     Each ray sums its panels in order, so a row's parts do not depend on the
     other rows.
     """
@@ -94,7 +112,7 @@ def ray_integrals(f: ScalarField, x, scale, kernel, tail: float, mass: float,
     t_ends, w_ends = rule(ends[:-1], ends[1:])
 
     parts = np.empty((len(pts), D))
-    block = max(1, RAY_LIST // D)  # rows whose rays share one list
+    block = max(1, RAY_BLOCK // D)  # rows whose rays share one array
     for b0 in range(0, len(pts), block):
         xb, hb = pts[b0:b0 + block], h[b0:b0 + block]
         # ray i D + j is row i in direction j; its scale, f0 and stop
@@ -111,28 +129,15 @@ def ray_integrals(f: ScalarField, x, scale, kernel, tail: float, mass: float,
             leave = np.maximum(leave, 0.0) if R > 0.0 else np.zeros_like(leave)
             np.divide(leave, hr, out=stop, where=leave < hr * stop)
 
-        # every panel end of every ray: the ends below its stop, its kink
-        # crossings and the stop
-        count = np.searchsorted(ends[1:], stop)
-        start = np.repeat(np.cumsum(count) - count, count)
-        ray = [np.repeat(np.arange(stop.size), count), np.flatnonzero(stop)]
-        end = [ends[1 + np.arange(start.size) - start], stop[stop > 0.0]]
+        # each ray's kink crossings, inf where it misses a sphere or meets
+        # it behind x or past its stop
+        cuts = np.empty((stop.size, 0))
         if f.kink_radii:
             rho2 = np.square(f.kink_radii)[:, None, None]
             u = np.sqrt(np.abs(rho2 - gap)) * np.array([[-1.0], [1.0]]) - xd
-            cut = np.nonzero((rho2 > gap) & (u > 0.0) & (u < hr * stop))
-            at, t = cut[2], u[cut] / hr[cut[2]]  # each crossing's ray and t
-            ray.append(at[t < stop[at]])
-            end.append(t[t < stop[at]])
-        ray, hi = np.concatenate(ray), np.concatenate(end)
-        order = np.lexsort((hi, ray))
-        ray, hi = ray[order], hi[order]
-        # each end closes the panel that the ray's previous end opens
-        lo = np.zeros_like(hi)
-        same = ray[1:] == ray[:-1]
-        lo[1:][same] = hi[:-1][same]
-        keep = hi > lo
-        ray, lo, hi = ray[keep], lo[keep], hi[keep]
+            hit = (rho2 > gap) & (u > 0.0) & (u < hr * stop)
+            cuts = np.where(hit, u / hr, np.inf).reshape(-1, stop.size).T
+        ray, lo, hi = _ray_panels(ends, stop, cuts)
 
         # each panel's row of the rule: a shared one, or its own where a
         # kink or the stop cuts it
@@ -208,13 +213,8 @@ def reflected_extension(params: Params, f: ScalarField):
     def v(points):
         rows = np.array(points, dtype=float).reshape(-1, params.n + 1)
         rows[:, -1] = np.abs(rows[:, -1])
-        order = np.lexsort(rows.T)
-        rows = rows[order]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-        back = np.empty(len(rows), dtype=np.intp)
-        back[order] = np.cumsum(first) - 1
-        rows = rows[first]
-        return extend(params, f, rows[:, :-1], rows[:, -1])[back]
+        # the distinct rows, reversed so that np.unique sorts by height first
+        rows, back = np.unique(rows[:, ::-1], axis=0, return_inverse=True)
+        return extend(params, f, rows[:, :0:-1], rows[:, 0])[back]
 
     return v

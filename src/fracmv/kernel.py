@@ -33,7 +33,7 @@ from .bump import (SUPPORT_HI, SUPPORT_LO, BumpProfile, eta_raw, eta_raw_prime,
                    normalize)
 from .errors import TableMismatchError, ToleranceError
 from .extension import poisson_constant, ray_integrals
-from .fraclap import Params, ScalarField, make_field
+from .fraclap import Params, ScalarField
 from .quadrature import (angular_rule, gauss_jacobi, gauss_legendre,
                          integrate_ball_weighted, sphere_area)
 
@@ -434,9 +434,8 @@ def _grad_psi_sup(spline: _CubicSpline) -> float:
     return float(np.max(d2 + ratio))
 
 
-def verify_kernel_properties(table: RadialKernelTable,
-                             fields=None) -> PropertyReport:
-    """Run the seven structural checks of the kernel and report constants."""
+def verify_kernel_properties(table: RadialKernelTable, fields) -> PropertyReport:
+    """Run the seven structural checks; ``fields`` measure the domination."""
     from .analysis import BallFamily, hl_maximal  # deferred: avoids a cycle
 
     n, a = table.params.n, table.params.a
@@ -469,9 +468,6 @@ def verify_kernel_properties(table: RadialKernelTable,
                                 abs(mass - 1.0), 1e-4))
 
     # (d) domination by the Hardy-Littlewood maximal function
-    if fields is None:
-        fields = [make_field("gaussian", n, table.params.s),
-                  make_field("ball_poisson", n, table.params.s, seed=1)]
     family = BallFamily(r_min=1e-2, r_max=4.0, ratio=math.sqrt(2.0),
                         resolution=MAXIMAL_RESOLUTION)
     cmax = 0.0

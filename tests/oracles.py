@@ -6,7 +6,8 @@ the extension and ball Poisson kernels in their defining forms, the
 ball-Poisson field as the direct sum over every shell node, the fractional
 Laplacian by symmetric second differences, which vanishes on the
 s-harmonic test fields, the bump's potential psi, whose gradient is
-phi(X) X, and the maximal functions as one field call per ball.
+phi(X) X, the maximal functions as one field call per ball, and the ray
+panels as one ragged list.
 """
 import math
 
@@ -213,6 +214,30 @@ def extend_quad(f, a: float, x: float, h: float, breaks) -> float:
     ends = sorted(breaks)
     return sum(quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=500)[0]
                for lo, hi in zip(ends[:-1], ends[1:]))
+
+
+def ray_panels_ragged(ends, stop, cuts):
+    """``extension._ray_panels`` as one ragged list of (ray, end) pairs.
+
+    Every ray lists the shared ends below its stop, the stop itself if it is
+    positive and its ``cuts`` below the stop; a ``lexsort`` orders the list
+    ray by ray, and each end closes the panel that the ray's previous end,
+    or 0, opens.  Returns (ray, lo, hi) of the non-empty panels.
+    """
+    count = np.searchsorted(ends[1:], stop)
+    start = np.repeat(np.cumsum(count) - count, count)
+    at, col = np.nonzero(cuts < stop[:, None])
+    ray = np.concatenate([np.repeat(np.arange(stop.size), count),
+                          np.flatnonzero(stop), at])
+    hi = np.concatenate([ends[1 + np.arange(start.size) - start],
+                         stop[stop > 0.0], cuts[at, col]])
+    order = np.lexsort((hi, ray))
+    ray, hi = ray[order], hi[order]
+    lo = np.zeros_like(hi)
+    same = ray[1:] == ray[:-1]
+    lo[1:][same] = hi[:-1][same]
+    keep = hi > lo
+    return ray[keep], lo[keep], hi[keep]
 
 
 def _ball_points(center, radius: float, resolution: int):

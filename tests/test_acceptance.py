@@ -172,7 +172,11 @@ def test_criterion_4_extension_formula(get_profile):
 def test_criterion_5_kernel_property_suite(get_table):
     failures = []
     for n, a in CORE_MATRIX:
-        report = verify_kernel_properties(get_table(n, a))
+        table = get_table(n, a)
+        s = table.params.s
+        fields = [make_field("gaussian", n, s),
+                  make_field("ball_poisson", n, s, seed=1)]
+        report = verify_kernel_properties(table, fields)
         for check in report.checks:
             if not check.passed:
                 failures.append(f"{check.name} measured={check.measured:.3e} "

@@ -10,12 +10,14 @@ from numpy.testing import assert_allclose
 
 import fracmv.extension
 from fracmv.errors import FieldRejectedError, ToleranceError
-from fracmv.extension import (EXTEND_POINTS, RADIAL_NODES, _radial_breaks, extend,
-                              poisson_constant, reflected_extension)
+from fracmv.extension import (EXTEND_POINTS, RADIAL_NODES, _radial_breaks,
+                              _ray_panels, extend, poisson_constant,
+                              reflected_extension)
 from fracmv.fraclap import Params, make_field
 from fracmv.kernel import gradient_of_solution, phi_r_convolve
 from fracmv.quadrature import gauss_legendre
-from oracles import adaptive_simpson, extend_quad, poisson_kernel
+from oracles import (adaptive_simpson, extend_quad, poisson_kernel,
+                     ray_panels_ragged)
 
 
 def test_constant_classical_value():
@@ -210,6 +212,31 @@ def test_extend_evaluates_no_panel_past_a_row_stop(name, a):
     singles = [extend(p, f, xi, yi) for xi, yi in zip(x, y)]
     assert batch_points == sum(sizes)
     np.testing.assert_array_equal(batch, singles)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(W=st.floats(1.0, 1e4),
+       body=st.sampled_from([(0.0, 1.0), tuple(np.arange(17) / 8.0)]),
+       rays=st.integers(1, 12), kinks=st.integers(0, 3), data=st.data())
+def test_ray_panels_match_the_ragged_list(W, body, rays, kinks, data):
+    # stops at 0, on a shared end, at W or anywhere below it; crossings on a
+    # shared end, at or past the ray's stop, missing, or anywhere
+    ends = _radial_breaks(W, body)
+    on_end = st.sampled_from(ends.tolist())
+    stop = np.array(data.draw(st.lists(st.one_of(on_end, st.floats(0.0, W)),
+                                       min_size=rays, max_size=rays)))
+    cut = st.one_of(on_end.filter(lambda t: t > 0.0), st.just(math.inf),
+                    st.just("stop"), st.floats(0.0, 2.0 * W, exclude_min=True))
+    codes = data.draw(st.lists(st.lists(cut, min_size=2 * kinks,
+                                        max_size=2 * kinks),
+                               min_size=rays, max_size=rays))
+    cuts = np.array([[stop[i] if c == "stop" else c for c in row]
+                     for i, row in enumerate(codes)], dtype=float)
+    cuts = cuts.reshape(rays, 2 * kinks)
+    got, want = _ray_panels(ends, stop, cuts), ray_panels_ragged(ends, stop, cuts)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
 
 
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)

@@ -290,9 +290,16 @@ class TestPersistence:
             read_table(path)
 
 
+def _domination_fields(table):
+    """A smooth field and an s-harmonic one for the maximal-domination row."""
+    n, s = table.params.n, table.params.s
+    return [make_field("gaussian", n, s), make_field("ball_poisson", n, s, seed=1)]
+
+
 class TestPropertyReport:
     def test_full_report_passes(self, table_n1_a0):
-        report = verify_kernel_properties(table_n1_a0)
+        report = verify_kernel_properties(table_n1_a0,
+                                          _domination_fields(table_n1_a0))
         failing = [c.name for c in report.checks if not c.passed]
         assert report.passed, f"failing checks: {failing}"
 
@@ -302,12 +309,13 @@ class TestPropertyReport:
         # the Phi' spline integrated exactly meets Phi(rmax) - Phi(0) to
         # 4.7e-10..1.2e-9; an 800-node Gauss rule on [0, rmax] read 9.3e-8
         # at n = 1, a = -0.5, its own error rather than the table's
-        report = verify_kernel_properties(get_table(n, a), fields=[])
+        report = verify_kernel_properties(get_table(n, a), [])
         row, = [c for c in report.checks if c.name == "gradient_zero_mean"]
         assert row.measured < 2e-9
 
     def test_report_rows_have_expected_shape(self, table_n1_a0):
-        report = verify_kernel_properties(table_n1_a0)
+        report = verify_kernel_properties(table_n1_a0,
+                                          _domination_fields(table_n1_a0))
         rows = list(report.rows())
         assert len(rows) == len(report.checks) >= 7
         for name, status, measured, threshold, _ in rows:

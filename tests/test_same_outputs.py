@@ -1,0 +1,37 @@
+"""The file comparison and the command list of tools/same_outputs.py."""
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import same_outputs  # noqa: E402
+
+
+def _write(root: Path, files: dict):
+    for rel, data in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_bytes(data)
+
+
+def test_identical_differing_and_missing_files(tmp_path):
+    base, work = tmp_path / "base", tmp_path / "work"
+    _write(base, {"mvp/mean_value.csv": b"a,b\n1,2\n", "build_n1/table.txt": b"x",
+                  "r.csv": b"1.0\n", "gone.csv": b"1"})
+    _write(work, {"mvp/mean_value.csv": b"a,b\n1,2\n", "build_n1/table.txt": b"y",
+                  "r.csv": b"1.0\n\n", "new/extra.csv": b"1"})
+    assert same_outputs.compare(base, work) == [
+        ("build_n1/table.txt", "differs"),
+        ("gone.csv", "missing in work tree"),
+        ("mvp/mean_value.csv", "identical"),
+        ("new/extra.csv", "missing in base"),
+        ("r.csv", "differs"),
+    ]
+    assert {v for _, v in same_outputs.compare(base, base)} == {"identical"}
+
+
+def test_every_command_writes_to_its_own_directory():
+    for name, argv in same_outputs.COMMANDS.items():
+        assert "{out}" in " ".join(argv), name
+    assert set(same_outputs.COMMANDS) == {
+        "build_n1", "build_n2", "kernel_verify_n1", "kernel_verify_n2",
+        "mvp_n1", "mvp_n2", "regularity_n1", "regularity_n2",
+        "extension_n1_a-0.5", "extension_n1_a0.5", "mvp2", "regularity2"}

@@ -1,0 +1,110 @@
+"""Check that the work tree writes the same output files as a base revision.
+
+    python3 tools/same_outputs.py [BASE]        (BASE defaults to HEAD)
+
+BASE is exported with ``bench_pairs.export`` into a temporary directory.
+The commands of COMMANDS run once in that export and once in the work tree
+(the checkout this script lives in), each with that tree's ``src`` on
+PYTHONPATH, one BLAS thread and its own output directory, all with
+``--seed 1``: ``kernel build`` at n = 1 and n = 2, a = 0; ``kernel verify``,
+``mvp`` and ``regularity`` on each of those tables; ``extension --n 1`` at
+a = -0.5 and 0.5; and perfbench/steps.py's ``mvp2`` and ``regularity2`` on
+the n = 2 table.  Every file that either side writes is compared byte for
+byte, with one line per file, and the script exits 1 if any file differs
+or is missing on one side, or if a command fails on either side.
+
+The n = 2 ``extension`` command is left out: it takes about 150 s.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import ROOT, export, git
+
+# name -> argv after the interpreter; {out} is the command's own output
+# directory and {build_n1} / {build_n2} those of the table builds
+COMMANDS = {
+    "build_n1": ["-m", "fracmv.cli", "kernel", "build", "--n", "1", "--a", "0.0",
+                 "--table", "{out}/table.txt"],
+    "build_n2": ["-m", "fracmv.cli", "kernel", "build", "--n", "2", "--a", "0.0",
+                 "--table", "{out}/table.txt"],
+    **{f"{cmd}_{t}": ["-m", "fracmv.cli", *cmd.split("_"),
+                      "--table", f"{{build_{t}}}/table.txt", "--out", "{out}"]
+       for t in ("n1", "n2") for cmd in ("kernel_verify", "mvp", "regularity")},
+    **{f"extension_n1_a{a}": ["-m", "fracmv.cli", "extension", "--n", "1",
+                              "--a", a, "--out", "{out}"]
+       for a in ("-0.5", "0.5")},
+    **{step: ["perfbench/steps.py", step, "--table", "{build_n2}/table.txt",
+              "--out", "{out}"]
+       for step in ("mvp2", "regularity2")},
+}
+SEED = "1"
+
+
+def run_all(tree: Path, out: Path) -> dict:
+    """Run every command in ``tree``, each into out/<name>; return exit codes."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    dirs = {name: out / name for name in COMMANDS}
+    codes = {}
+    for name, argv in COMMANDS.items():
+        dirs[name].mkdir(parents=True)
+        args = [a.format(out=dirs[name], **dirs) for a in argv]
+        res = subprocess.run([sys.executable, *args, "--seed", SEED], cwd=tree,
+                             env=env, capture_output=True, text=True)
+        if res.returncode != 0:
+            print(f"{name} in {tree} exited {res.returncode}:\n"
+                  f"{res.stderr[-2000:]}", file=sys.stderr)
+        codes[name] = res.returncode
+    return codes
+
+
+def compare(base: Path, work: Path) -> list[tuple[str, str]]:
+    """(relative path, verdict) for every file under either directory."""
+    files = {p.relative_to(root).as_posix()
+             for root in (base, work) for p in root.rglob("*") if p.is_file()}
+    rows = []
+    for rel in sorted(files):
+        a, b = base / rel, work / rel
+        if not a.is_file():
+            verdict = "missing in base"
+        elif not b.is_file():
+            verdict = "missing in work tree"
+        else:
+            verdict = "identical" if a.read_bytes() == b.read_bytes() else "differs"
+        rows.append((rel, verdict))
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", nargs="?", default="HEAD")
+    args = parser.parse_args(argv)
+    commit = git("rev-parse", args.base)
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+        tmp = Path(tmp)
+        export(commit, tmp / "tree")
+        codes = {"base": run_all(tmp / "tree", tmp / "base"),
+                 "work": run_all(ROOT, tmp / "work")}
+        rows = compare(tmp / "base", tmp / "work")
+    for rel, verdict in rows:
+        print(f"{verdict:>20}  {rel}")
+    bad_codes = [name for name in COMMANDS
+                 if codes["base"][name] or codes["work"][name]]
+    for name in bad_codes:
+        print(f"{'failed':>20}  {name}: exit {codes['base'][name]} in base, "
+              f"{codes['work'][name]} in the work tree")
+    same = not bad_codes and all(v == "identical" for _, v in rows)
+    print(f"{args.base} ({commit[:12]}) against the work tree: "
+          + ("every file identical" if same else "outputs differ"))
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
