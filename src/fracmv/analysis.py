@@ -195,18 +195,22 @@ def gradient_sharp_ratio(table: RadialKernelTable, f: ScalarField,
     should not exceed a fixed multiple of those at large factors.
     """
     family = family or BallFamily(resolution=48)
-    rows = []
-    per_factor: dict[float, list[float]] = {fac: [] for fac in radius_factors}
-    for x in grid:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    pts = [np.atleast_1d(np.asarray(x, dtype=float)) for x in grid]
+    radii = []
+    for x in pts:
         delta = domain.distance_to_boundary(x)
         if delta <= 0.0:
             raise ValueError(f"grid point {x} is not interior")
+        radii.append([fac * delta for fac in radius_factors])
+    # one gradient row per (x, factor), x by x
+    grads = gradient_of_solution(
+        table, f, np.repeat(pts, len(radius_factors), axis=0), np.ravel(radii))
+    rows = []
+    per_factor: dict[float, list[float]] = {fac: [] for fac in radius_factors}
+    for x, rs, gs in zip(pts, radii, np.split(grads, len(pts))):
         sharp = sharp_maximal(f, x, lam, family)
-        for fac in radius_factors:
-            r = fac * delta
-            gnorm = float(np.linalg.norm(
-                gradient_of_solution(table, f, x, r)))
+        for fac, r, g in zip(radius_factors, rs, gs):
+            gnorm = float(np.linalg.norm(g))
             if sharp == 0.0:
                 if gnorm > 1e-10:
                     raise ArithmeticError(
@@ -291,12 +295,11 @@ def weighted_gradient_besov_ratio(table: RadialKernelTable, f: ScalarField,
     local p-norm.  A zero field reports ratio 0.
     """
     pts, cell = _ball_cells(domain.center, domain.radius, grid_count)
+    # every cell midpoint lies inside the ball, so each delta is positive
+    deltas = np.array([domain.distance_to_boundary(x) for x in pts])
+    grads = gradient_of_solution(table, f, pts, 0.5 * deltas)
     acc = 0.0
-    for x in pts:
-        delta = domain.distance_to_boundary(x)
-        if delta <= 0.0:
-            continue
-        g = gradient_of_solution(table, f, x, 0.5 * delta)
+    for delta, g in zip(deltas, grads):
         acc += (delta ** (1.0 - lam) * float(np.linalg.norm(g))) ** p * cell
     numerator = acc ** (1.0 / p)
 

@@ -75,12 +75,12 @@ def ray_integrals(f: ScalarField, x, scale, kernel, tail: float, mass: float,
     envelope bounds the rest below ``tol``, or for a field with
     ``far = (R, c)`` where it leaves |z| < R if that comes first.  Past its
     stop it takes f = c: it adds (c - f0_i) times mass / |S^(n-1)| less its
-    rule's kernel mass.  Its rule has RADIAL_NODES Gauss nodes on each panel
-    between its panel ends: the ends of ``_radial_breaks`` and its crossings
-    of the ``f.kink_radii`` spheres, capped at its stop and sorted, one row
-    of an array per ray (``_ray_panels``).
-    Each ray sums its panels in order, so a row's parts do not depend on the
-    other rows.
+    rule's kernel mass.  Its panel ends are those of ``_radial_breaks`` and
+    its crossings of the ``f.kink_radii`` spheres, capped at its stop and
+    sorted, one row of an array per ray (``_ray_panels``); each panel forms
+    its own RADIAL_NODES-node Gauss rule from its ends where it is
+    evaluated.  Each ray sums its panels in order, so a row's parts do not
+    depend on the other rows.
     """
     n = f.n
     pts = np.asarray(x, dtype=float).reshape(-1, n)
@@ -102,15 +102,6 @@ def ray_integrals(f: ScalarField, x, scale, kernel, tail: float, mass: float,
     ends = _radial_breaks(float(W.max()), body)
     g_t, g_w = gauss_legendre(RADIAL_NODES, (-1.0, 1.0))
 
-    def rule(lo, hi):  # nodes and kernel weights on the panels (lo, hi)
-        half = 0.5 * (hi - lo)[:, None]
-        t = 0.5 * (hi + lo)[:, None] + half * g_t
-        w = kernel(t) * (half * g_w)
-        return t, (w * t if n == 2 else w)
-
-    # the rule on the panels between ends, which most rays share whole
-    t_ends, w_ends = rule(ends[:-1], ends[1:])
-
     parts = np.empty((len(pts), D))
     block = max(1, RAY_BLOCK // D)  # rows whose rays share one array
     for b0 in range(0, len(pts), block):
@@ -130,32 +121,25 @@ def ray_integrals(f: ScalarField, x, scale, kernel, tail: float, mass: float,
             np.divide(leave, hr, out=stop, where=leave < hr * stop)
 
         # each ray's kink crossings, inf where it misses a sphere or meets
-        # it behind x or past its stop
-        cuts = np.empty((stop.size, 0))
-        if f.kink_radii:
-            rho2 = np.square(f.kink_radii)[:, None, None]
-            u = np.sqrt(np.abs(rho2 - gap)) * np.array([[-1.0], [1.0]]) - xd
-            hit = (rho2 > gap) & (u > 0.0) & (u < hr * stop)
-            cuts = np.where(hit, u / hr, np.inf).reshape(-1, stop.size).T
+        # it behind x or past its stop; with no kinks it has no columns
+        rho2 = np.square(f.kink_radii)[:, None, None]
+        u = np.sqrt(np.abs(rho2 - gap)) * np.array([[-1.0], [1.0]]) - xd
+        hit = (rho2 > gap) & (u > 0.0) & (u < hr * stop)
+        cuts = np.where(hit, u / hr, np.inf).reshape(-1, stop.size).T
         ray, lo, hi = _ray_panels(ends, stop, cuts)
 
-        # each panel's row of the rule: a shared one, or its own where a
-        # kink or the stop cuts it
-        idx = np.searchsorted(ends, hi)
-        own = np.flatnonzero((ends[idx] != hi) | (ends[idx - 1] != lo))
-        t_own, w_own = rule(lo[own], hi[own])
-        idx -= 1
-        idx[own] = len(t_ends) + np.arange(len(own))
-        t_all = np.concatenate([t_ends, t_own])
-        w_all = np.concatenate([w_ends, w_own])
         # each panel's ray: its origin, its step h d and its f0
         row, dj = np.divmod(ray, D)
         origin, step, f0p = xb[row], hr[ray, None] * dirs[dj], fr[ray]
         sums = np.empty(len(ray))  # each panel's integral
+        masses = np.empty(len(ray))  # and its rule's kernel mass
         chunk = EXTEND_POINTS // RADIAL_NODES
         for c0 in range(0, len(ray), chunk):
             sl = slice(c0, c0 + chunk)
-            t, w = t_all[idx[sl]], w_all[idx[sl]]
+            # the panels' Gauss nodes and kernel weights
+            half = 0.5 * (hi[sl] - lo[sl])[:, None]
+            t = 0.5 * (hi[sl] + lo[sl])[:, None] + half * g_t
+            w = kernel(t) * (half * g_w) * t ** (n - 1)
             # probe points x + t h d, one coordinate at a time into one buffer
             probe = np.empty(t.shape + (n,))
             for j in range(n):
@@ -164,11 +148,11 @@ def ray_integrals(f: ScalarField, x, scale, kernel, tail: float, mass: float,
             vals = f(probe.reshape(-1, n)).reshape(t.shape)
             vals -= f0p[sl, None]
             sums[sl] = (vals * w).sum(axis=1)
+            masses[sl] = w.sum(axis=1)
         # the panel sums of each ray in order; a bincount of no panels is int
         total = np.bincount(ray, sums, stop.size).astype(float, copy=False)
         if f.far is not None:
-            left = mass / surf - np.bincount(ray, w_all.sum(axis=1)[idx], stop.size)
-            total += (c - fr) * left
+            total += (c - fr) * (mass / surf - np.bincount(ray, masses, stop.size))
         parts[b0:b0 + block] = total.reshape(-1, D) * ang_w
     return dirs, parts
 
@@ -186,9 +170,7 @@ def extend(params: Params, f: ScalarField, x, y, tol: float = 1e-8):
             f"field {f.description!r} (degree {f.degree}) is not integrable "
             f"against (1+|x|)^-(n+2s) for s={params.s}")
     n, a = params.n, params.a
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x.reshape(-1, n)
+    pts, single = f.rows(x)
     h = np.broadcast_to(np.abs(np.asarray(y, dtype=float)), (len(pts),))
     fx = f(pts)
     out = fx.copy()

@@ -79,10 +79,16 @@ class ScalarField:
     kink_radii: tuple = ()
     far: tuple | None = None
 
+    def rows(self, points):
+        """``points`` as (m, n) rows, and whether they were one point (1-D)."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim not in (1, 2) or pts.shape[-1] != self.n:
+            raise ValueError(f"expected a point of length {self.n} or rows of "
+                             f"shape (m, {self.n}), got shape {pts.shape}")
+        return pts.reshape(-1, self.n), pts.ndim == 1
+
     def __call__(self, points):
-        points = np.asarray(points, dtype=float)
-        single = points.ndim == 1
-        pts = points.reshape(-1, self.n)
+        pts, single = self.rows(points)
         vals = np.asarray(self.evaluator(pts), dtype=float)
         return float(vals[0]) if single else vals
 

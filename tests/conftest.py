@@ -1,5 +1,6 @@
 import pytest
 
+import fracmv.kernel
 from fracmv.bump import normalize
 from fracmv.fraclap import Params
 from fracmv.kernel import build_table
@@ -36,3 +37,17 @@ def get_profile():
 @pytest.fixture(scope="session")
 def table_n1_a0(get_table):
     return get_table(1, 0.0)
+
+
+@pytest.fixture()
+def engine_calls(monkeypatch):
+    """The rows of each call that fracmv.kernel makes to the ray engine."""
+    calls = []
+    real = fracmv.kernel.ray_integrals
+
+    def counted(f, x, *args, **kwargs):
+        calls.append(x)
+        return real(f, x, *args, **kwargs)
+
+    monkeypatch.setattr(fracmv.kernel, "ray_integrals", counted)
+    return calls

@@ -230,6 +230,17 @@ class TestRatioReports:
         assert maxima[0.25] <= 4.0 * maxima[0.5] + 1e-12
         assert all(np.isfinite(r.value) for r in rows)
 
+    def test_each_ratio_makes_one_engine_call(self, table_n1_a0, engine_calls):
+        f = make_field("ball_poisson", 1, 0.5, seed=1)
+        domain = Domain.ball([0.0], 0.6)
+        grid = [np.array([u]) for u in (-0.3, 0.0, 0.3)]
+        gradient_sharp_ratio(table_n1_a0, f, domain, 0.5, grid, (0.5, 0.25, 0.125),
+                             family=BallFamily(resolution=8))
+        weighted_gradient_besov_ratio(table_n1_a0, f, domain, 0.5, 2.0,
+                                      grid_count=9)
+        # a row per (x, factor), then one per interior cell
+        assert [len(rows) for rows in engine_calls] == [9, 9]
+
     def test_rows_to_csv_format(self):
         row = ReportRow("f0", (0.25,), 0.1, 0.5, 2.0, 1.234, "demo")
         text = rows_to_csv([row])

@@ -109,6 +109,11 @@ class TestMeanValueCommand:
         assert lines[0] == "field_id,x,r,residual,allowed"
         assert len(lines) > 1
 
+    def test_one_engine_call_per_field(self, table_file, tmp_path, engine_calls):
+        assert main(["mvp", "--table", table_file, "--out", str(tmp_path)]) == 0
+        # constant and ball_poisson, each at 5 points and 2 radii
+        assert [len(rows) for rows in engine_calls] == [10, 10]
+
     def test_fails_under_impossible_tolerance(self, table_file, tmp_path):
         code = main(["mvp", "--table", table_file, "--out", str(tmp_path),
                      "--tol", "mvp=1e-12", "--fields", "ball_poisson"])

@@ -20,6 +20,13 @@ from oracles import (adaptive_simpson, extend_quad, poisson_kernel,
                      ray_panels_ragged)
 
 
+def test_extend_rejects_a_point_of_the_wrong_length():
+    # three coordinates at n = 1 are neither one point nor rows of points
+    p = Params(n=1, a=0.0)
+    with pytest.raises(ValueError, match="got shape"):
+        extend(p, make_field("gaussian", 1, 0.5), np.array([0.1, 0.2, 0.3]), 0.5)
+
+
 def test_constant_classical_value():
     # n=1, a=0 is the classical half-plane Poisson kernel 1/pi * y/(x^2+y^2)
     assert_allclose(poisson_constant(1, 0.0), 1.0 / math.pi, rtol=1e-8)

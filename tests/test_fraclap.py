@@ -15,6 +15,25 @@ from oracles import (adaptive_simpson, ball_poisson_kernel, frac_lap,
                      sharmonic_direct)
 
 
+class TestRows:
+    def test_one_point_or_rows(self):
+        f = make_field("gaussian", 2, 0.5)
+        pts, single = f.rows([0.1, 0.2])
+        assert single and pts.shape == (1, 2)
+        pts, single = f.rows(np.zeros((3, 2)))
+        assert not single and pts.shape == (3, 2)
+
+    @pytest.mark.parametrize("n,shape", [(1, (3,)), (2, (4,)), (1, ()),
+                                         (2, (3, 1)), (2, (2, 2, 2))])
+    def test_rejects_any_other_shape(self, n, shape):
+        # a 1-D array of the wrong length used to lose all but its first point
+        f = make_field("gaussian", n, 0.5)
+        points = np.full(shape, 0.1)
+        for call in (f, f.rows):
+            with pytest.raises(ValueError, match="got shape"):
+                call(points)
+
+
 class TestParams:
     def test_from_s_roundtrip(self):
         p = Params.from_s(1, 0.75)

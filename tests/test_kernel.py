@@ -296,6 +296,45 @@ def _domination_fields(table):
     return [make_field("gaussian", n, s), make_field("ball_poisson", n, s, seed=1)]
 
 
+class TestRows:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("name", ["constant", "ball_poisson", "gaussian",
+                                      "affine"])
+    def test_rows_equal_per_point_calls_bit_for_bit(self, get_table, name, n):
+        # each row has its own |x| and radius, so its own truncation radius
+        # W: affine's W grows with both, and every gradient's with |f(x)|;
+        # at n = 2 the 7 rows span two ray blocks, and |x| = 4 lies past
+        # ball_poisson's far radius 3.3
+        table = get_table(n, -0.5)
+        f = make_field(name, n, table.params.s, seed=1)
+        x = np.linspace(-0.6, 0.9, 7 * n).reshape(7, n)
+        x[-1] = 4.0 / math.sqrt(n)
+        r = np.array([0.02, 0.05, 0.1, 0.2, 0.4, 0.8, 0.3])
+        conv = phi_r_convolve(table, f, x, r)
+        grad = gradient_of_solution(table, f, x, r)
+        assert conv.shape == (7,) and grad.shape == (7, n)
+        for xi, ri, c, g in zip(x, r, conv, grad):
+            assert c == phi_r_convolve(table, f, xi, ri)
+            np.testing.assert_array_equal(g, gradient_of_solution(table, f, xi, ri))
+        # one radius for every row
+        np.testing.assert_array_equal(
+            gradient_of_solution(table, f, x, 0.1),
+            [gradient_of_solution(table, f, xi, 0.1) for xi in x])
+
+    @pytest.mark.parametrize("fn", [phi_r_convolve, gradient_of_solution],
+                             ids=["phi_r_convolve", "gradient_of_solution"])
+    def test_rejects_a_point_of_the_wrong_length(self, table_n1_a0, fn):
+        f = make_field("gaussian", 1, 0.5)
+        with pytest.raises(ValueError, match="got shape"):
+            fn(table_n1_a0, f, np.array([0.1, 0.2, 0.3]), 0.1)
+
+    def test_maximal_domination_makes_one_engine_call_per_field_and_point(
+            self, table_n1_a0, engine_calls):
+        verify_kernel_properties(table_n1_a0, _domination_fields(table_n1_a0))
+        # two fields at x = 0 and x = 0.3, five radii each
+        assert [len(rows) for rows in engine_calls] == [5, 5, 5, 5]
+
+
 class TestPropertyReport:
     def test_full_report_passes(self, table_n1_a0):
         report = verify_kernel_properties(table_n1_a0,

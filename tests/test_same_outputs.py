@@ -35,3 +35,13 @@ def test_every_command_writes_to_its_own_directory():
         "build_n1", "build_n2", "kernel_verify_n1", "kernel_verify_n2",
         "mvp_n1", "mvp_n2", "regularity_n1", "regularity_n2",
         "extension_n1_a-0.5", "extension_n1_a0.5", "mvp2", "regularity2"}
+
+
+def test_each_file_line_gives_its_command_time_on_both_sides():
+    rows = [("build_n1/table.txt", "identical"), ("mvp_n1/mean_value.csv", "differs")]
+    runs = {"base": {"build_n1": (0, 0.5), "mvp_n1": (0, 1.234)},
+            "work": {"build_n1": (0, 0.25), "mvp_n1": (3, 12.0)}}
+    assert same_outputs.report(rows, runs) == [
+        "           identical  build_n1/table.txt  (base 0.50 s, work tree 0.25 s)",
+        "             differs  mvp_n1/mean_value.csv  (base 1.23 s, work tree 12.00 s)",
+    ]

@@ -10,8 +10,9 @@ PYTHONPATH, one BLAS thread and its own output directory, all with
 ``mvp`` and ``regularity`` on each of those tables; ``extension --n 1`` at
 a = -0.5 and 0.5; and perfbench/steps.py's ``mvp2`` and ``regularity2`` on
 the n = 2 table.  Every file that either side writes is compared byte for
-byte, with one line per file, and the script exits 1 if any file differs
-or is missing on one side, or if a command fails on either side.
+byte, with one line per file that also gives the wall time of the command
+that wrote it on both sides, and the script exits 1 if any file differs or
+is missing on one side, or if a command fails on either side.
 
 The n = 2 ``extension`` command is left out: it takes about 150 s.
 """
@@ -22,6 +23,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from bench_pairs import ROOT, export, git
@@ -47,22 +49,26 @@ SEED = "1"
 
 
 def run_all(tree: Path, out: Path) -> dict:
-    """Run every command in ``tree``, each into out/<name>; return exit codes."""
+    """Run every command in ``tree``, each into out/<name>.
+
+    Returns (exit code, wall seconds) per command.
+    """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     dirs = {name: out / name for name in COMMANDS}
-    codes = {}
+    runs = {}
     for name, argv in COMMANDS.items():
         dirs[name].mkdir(parents=True)
         args = [a.format(out=dirs[name], **dirs) for a in argv]
+        start = time.perf_counter()
         res = subprocess.run([sys.executable, *args, "--seed", SEED], cwd=tree,
                              env=env, capture_output=True, text=True)
+        runs[name] = (res.returncode, time.perf_counter() - start)
         if res.returncode != 0:
             print(f"{name} in {tree} exited {res.returncode}:\n"
                   f"{res.stderr[-2000:]}", file=sys.stderr)
-        codes[name] = res.returncode
-    return codes
+    return runs
 
 
 def compare(base: Path, work: Path) -> list[tuple[str, str]]:
@@ -82,6 +88,18 @@ def compare(base: Path, work: Path) -> list[tuple[str, str]]:
     return rows
 
 
+def report(rows, runs) -> list[str]:
+    """One line per (file, verdict) row, with the wall time on both sides of
+    the command whose directory holds the file."""
+    lines = []
+    for rel, verdict in rows:
+        name = rel.split("/")[0]
+        base, work = runs["base"][name][1], runs["work"][name][1]
+        lines.append(f"{verdict:>20}  {rel}  (base {base:.2f} s, "
+                     f"work tree {work:.2f} s)")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", nargs="?", default="HEAD")
@@ -90,16 +108,15 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         tmp = Path(tmp)
         export(commit, tmp / "tree")
-        codes = {"base": run_all(tmp / "tree", tmp / "base"),
-                 "work": run_all(ROOT, tmp / "work")}
+        runs = {"base": run_all(tmp / "tree", tmp / "base"),
+                "work": run_all(ROOT, tmp / "work")}
         rows = compare(tmp / "base", tmp / "work")
-    for rel, verdict in rows:
-        print(f"{verdict:>20}  {rel}")
+    print("\n".join(report(rows, runs)))
     bad_codes = [name for name in COMMANDS
-                 if codes["base"][name] or codes["work"][name]]
+                 if runs["base"][name][0] or runs["work"][name][0]]
     for name in bad_codes:
-        print(f"{'failed':>20}  {name}: exit {codes['base'][name]} in base, "
-              f"{codes['work'][name]} in the work tree")
+        print(f"{'failed':>20}  {name}: exit {runs['base'][name][0]} in base, "
+              f"{runs['work'][name][0]} in the work tree")
     same = not bad_codes and all(v == "identical" for _, v in rows)
     print(f"{args.base} ({commit[:12]}) against the work tree: "
           + ("every file identical" if same else "outputs differ"))
