@@ -79,18 +79,11 @@ class BallFamily:
         return np.geomspace(self.r_min, self.r_max, count + 1)
 
     def centers(self, x, radius: float) -> np.ndarray:
+        # x, then x moved by each nonzero offset along -e_j and e_j, axis by axis
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        n = x.size
-        out = [x]
-        for frac in self.offsets:
-            if frac == 0.0:
-                continue
-            for j in range(n):
-                for sign in (-1.0, 1.0):
-                    c = x.copy()
-                    c[j] += sign * frac * radius
-                    out.append(c)
-        return np.asarray(out)
+        return x + np.array([np.zeros(x.size)] + [
+            sign * frac * radius * e for frac in self.offsets if frac != 0.0
+            for e in np.eye(x.size) for sign in (-1.0, 1.0)])
 
 
 def _midpoint_grid(lo: float, width: float, count: int, n: int):
@@ -101,10 +94,7 @@ def _midpoint_grid(lo: float, width: float, count: int, n: int):
     """
     step = width / count
     u = lo + (np.arange(count) + 0.5) * step
-    if n == 1:
-        return u[:, None], step
-    gx, gy = np.meshgrid(u, u)
-    return np.column_stack([gx.ravel(), gy.ravel()]), step ** n
+    return np.column_stack([g.ravel() for g in np.meshgrid(*[u] * n)]), step ** n
 
 
 def _ball_cells(center, radius: float, m: int):
@@ -141,19 +131,23 @@ def _ball_means(f: ScalarField, x, family: BallFamily, fx: float):
         yield radius, np.abs(vals - fx).reshape(len(centers), -1).mean(axis=1)
 
 
-def sharp_maximal(f: ScalarField, x, lam: float, family: BallFamily) -> float:
+def sharp_maximal(f: ScalarField, x, lam, family: BallFamily):
     """Fractional sharp maximal function at x over the finite ball family.
 
     Each ball contributes |B|^(-lambda/n) times the average of |f - f(x)|
     over its midpoint sample; the result is the maximum contribution.
+    ``lam`` is one lambda, which returns a float, or several, which return
+    an array with one value per lambda; the ball means are sampled once.
     """
-    if not 0.0 < lam < 1.0:
+    lams = np.atleast_1d(lam).tolist()
+    if not all(0.0 < lm < 1.0 for lm in lams):
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = x.size
-    fx = float(f(x[None, :])[0])
-    return max(float(np.max(_ball_measure(n, radius) ** (-lam / n) * means))
-               for radius, means in _ball_means(f, x, family, fx))
+    fx = f(x)
+    best = np.max([[np.max(_ball_measure(f.n, radius) ** (-lm / f.n) * means)
+                    for lm in lams]
+                   for radius, means in _ball_means(f, x, family, fx)], axis=0)
+    return float(best[0]) if np.ndim(lam) == 0 else best
 
 
 def hl_maximal(f: ScalarField, x, family: BallFamily) -> float:
@@ -184,48 +178,44 @@ def rows_to_csv(rows) -> str:
 
 
 def gradient_sharp_ratio(table: RadialKernelTable, f: ScalarField,
-                         domain: Domain, lam: float, grid, radius_factors,
+                         domain: Domain, lam, grid, radius_factors,
                          field_id: str = "field",
                          family: BallFamily | None = None) -> list[ReportRow]:
     """Ratios |grad f(x)| / (r^(lambda-1) sharp_maximal) on an interior grid.
 
     One row per (x, factor) pair with kind "gradient_sharp_ratio", plus a
     max and a median summary row per factor (x recorded as the empty tuple).
+    ``lam`` is one lambda or several; several give the rows of each lambda
+    in turn, from one set of gradients and one ``sharp_maximal`` call per x.
     The bound being probed is uniform in r, so the rows at small factors
     should not exceed a fixed multiple of those at large factors.
     """
     family = family or BallFamily(resolution=48)
     pts = [np.atleast_1d(np.asarray(x, dtype=float)) for x in grid]
-    radii = []
-    for x in pts:
-        delta = domain.distance_to_boundary(x)
-        if delta <= 0.0:
-            raise ValueError(f"grid point {x} is not interior")
-        radii.append([fac * delta for fac in radius_factors])
-    # one gradient row per (x, factor), x by x
+    deltas = [domain.distance_to_boundary(x) for x in pts]
+    if min(deltas) <= 0.0:
+        raise ValueError(f"grid point {pts[int(np.argmin(deltas))]} is not interior")
+    radii = [[fac * delta for fac in radius_factors] for delta in deltas]
+    # one gradient row per (x, factor), x by x, and one sharp maximal per x
     grads = gradient_of_solution(
         table, f, np.repeat(pts, len(radius_factors), axis=0), np.ravel(radii))
+    gnorms = np.split(np.array([np.linalg.norm(g) for g in grads]), len(pts))
+    sharps = [np.atleast_1d(sharp_maximal(f, x, lam, family)) for x in pts]
+    # the ball means vanish for every lambda or for none
+    if any(s[0] == 0.0 and gs.max() > 1e-10 for s, gs in zip(sharps, gnorms)):
+        raise ArithmeticError("vanishing sharp maximal with nonzero gradient")
     rows = []
-    per_factor: dict[float, list[float]] = {fac: [] for fac in radius_factors}
-    for x, rs, gs in zip(pts, radii, np.split(grads, len(pts))):
-        sharp = sharp_maximal(f, x, lam, family)
-        for fac, r, g in zip(radius_factors, rs, gs):
-            gnorm = float(np.linalg.norm(g))
-            if sharp == 0.0:
-                if gnorm > 1e-10:
-                    raise ArithmeticError(
-                        "vanishing sharp maximal with nonzero gradient")
-                ratio = 0.0
-            else:
-                ratio = gnorm / (r ** (lam - 1.0) * sharp)
-            per_factor[fac].append(ratio)
-            rows.append(ReportRow(field_id, tuple(x), r, lam, math.nan,
-                                  ratio, "gradient_sharp_ratio"))
-    for fac, vals in per_factor.items():
-        rows.append(ReportRow(field_id, (), fac, lam, math.nan,
-                              max(vals), "ratio_max_over_grid"))
-        rows.append(ReportRow(field_id, (), fac, lam, math.nan,
-                              float(np.median(vals)), "ratio_median_over_grid"))
+    for lm, sharp in zip(np.atleast_1d(lam).tolist(), np.transpose(sharps)):
+        ratios = [[0.0 if s == 0.0 else g / (r ** (lm - 1.0) * s)
+                   for r, g in zip(rs, gs)] for rs, gs, s in zip(radii, gnorms, sharp)]
+        rows += [ReportRow(field_id, tuple(x), r, lm, math.nan, q,
+                           "gradient_sharp_ratio")
+                 for x, rs, qs in zip(pts, radii, ratios) for r, q in zip(rs, qs)]
+        for fac, vals in zip(radius_factors, zip(*ratios)):
+            rows.append(ReportRow(field_id, (), fac, lm, math.nan,
+                                  max(vals), "ratio_max_over_grid"))
+            rows.append(ReportRow(field_id, (), fac, lm, math.nan,
+                                  float(np.median(vals)), "ratio_median_over_grid"))
     return rows
 
 
@@ -298,10 +288,8 @@ def weighted_gradient_besov_ratio(table: RadialKernelTable, f: ScalarField,
     # every cell midpoint lies inside the ball, so each delta is positive
     deltas = np.array([domain.distance_to_boundary(x) for x in pts])
     grads = gradient_of_solution(table, f, pts, 0.5 * deltas)
-    acc = 0.0
-    for delta, g in zip(deltas, grads):
-        acc += (delta ** (1.0 - lam) * float(np.linalg.norm(g))) ** p * cell
-    numerator = acc ** (1.0 / p)
+    numerator = sum((delta ** (1.0 - lam) * float(np.linalg.norm(g))) ** p * cell
+                    for delta, g in zip(deltas, grads)) ** (1.0 / p)
 
     diameter = 2.0 * domain.radius
     besov = besov_seminorm(f, lam, p, 1.0, half_width=diameter,

@@ -23,7 +23,7 @@ __all__ = ["poisson_constant", "ray_integrals", "extend", "reflected_extension"]
 
 RADIAL_NODES = 12  # Gauss nodes per panel of the radial rule
 DIRECTIONS = 48    # directions of the angular rule (n = 2)
-EXTEND_POINTS = 2048  # probe points per field call
+EXTEND_POINTS = 2048  # points per field call, of probes and of rows alike
 RAY_BLOCK = 256  # rays whose panels form one array: bounds its memory
 
 
@@ -172,15 +172,16 @@ def extend(params: Params, f: ScalarField, x, y, tol: float = 1e-8):
     n, a = params.n, params.a
     pts, single = f.rows(x)
     h = np.broadcast_to(np.abs(np.asarray(y, dtype=float)), (len(pts),))
-    fx = f(pts)
-    out = fx.copy()
+    # f at the rows, EXTEND_POINTS a call as for the probes, into a fresh array
+    out = np.concatenate([f(c) for c in np.split(
+        pts, range(EXTEND_POINTS, len(pts), EXTEND_POINTS))])
     up = h > 0.0
     if np.any(up):
         C = poisson_constant(n, a)
         p = n + 1.0 - a
         _, parts = ray_integrals(f, pts[up], h[up],
                                  lambda t: C * (1.0 + t * t) ** (-0.5 * p), p, 1.0,
-                                 (0.0, 1.0), tol, subtract=fx[up])
+                                 (0.0, 1.0), tol, subtract=out[up])
         out[up] += parts.sum(axis=1)
     return float(out[0]) if single else out
 

@@ -197,7 +197,6 @@ def sample_sharmonic(g, r: float, s: float, n: int) -> ScalarField:
             return np.divide(X.real, gap, out=gap).sum(axis=1) / (r * r)
 
     def evaluate(x):
-        x = np.asarray(x, dtype=float).reshape(-1, n)
         rx = np.linalg.norm(x, axis=1)
         out = np.empty(len(x))
         inside = rx < r
@@ -239,7 +238,6 @@ def _ball_poisson_data(n: int, r: float, seed: int):
             return a0 + a1 * np.cos(k * np.arctan2(y[:, 1], y[:, 0]) + phase)
 
     def g(y):
-        y = np.asarray(y, dtype=float).reshape(-1, n)
         out = _shell_window(np.linalg.norm(y, axis=1), r)
         # the angular factor is positive, so only the window's support needs it
         on = out > 0.0
@@ -255,26 +253,23 @@ FIELD_NAMES = ("constant", "affine", "gaussian", "xplus_s", "ball_poisson")
 def make_field(name: str, n: int, s: float, r: float = 1.0, seed: int = 0) -> ScalarField:
     """Built-in test field registry, selectable by string key."""
     if name == "constant":
-        return ScalarField(evaluator=lambda x: np.ones(len(np.atleast_2d(x))),
+        return ScalarField(evaluator=lambda x: np.ones(len(x)),
                            n=n, scale=1.0, description="constant 1",
                            far=(0.0, 1.0))
     if name == "affine":
-        return ScalarField(evaluator=lambda x: np.asarray(x, dtype=float).reshape(-1, n)[:, 0],
+        return ScalarField(evaluator=lambda x: x[:, 0],
                            n=n, degree=1, scale=1.0,
                            description="affine x1")
     if name == "gaussian":
         return ScalarField(
-            evaluator=lambda x: np.exp(-np.linalg.norm(
-                np.asarray(x, dtype=float).reshape(-1, n), axis=1) ** 2),
+            evaluator=lambda x: np.exp(-np.linalg.norm(x, axis=1) ** 2),
             n=n, scale=1.0, description="gaussian")
     if name == "xplus_s":
         if n != 1:
             raise ValueError("xplus_s is a one-dimensional field")
-        return ScalarField(
-            evaluator=lambda x: np.maximum(
-                np.asarray(x, dtype=float).reshape(-1, 1)[:, 0], 0.0) ** s,
-            n=n, degree=s, scale=1.0,
-            description=f"max(x,0)^{s}")
+        return ScalarField(evaluator=lambda x: np.maximum(x[:, 0], 0.0) ** s,
+                           n=n, degree=s, scale=1.0,
+                           description=f"max(x,0)^{s}")
     if name == "ball_poisson":
         fld = sample_sharmonic(_ball_poisson_data(n, r, seed), r, s, n)
         fld.description = f"ball-poisson(n={n}, s={s}, seed={seed})"

@@ -386,22 +386,31 @@ def gradient_of_solution(table: RadialKernelTable, f: ScalarField, x,
     return out[0] if single else out
 
 
-def extension_mean_value(profile: BumpProfile, v, x, r: float) -> float:
+def extension_mean_value(profile: BumpProfile, v, x, r):
     """Integral of phi_r(X0 - Z) v(Z) |y|^a, X0 = (x, 0), phi_r = r^-(n+1+a) phi(./r).
 
     phi_r lives on the shell r/4 < |Z - X0| < 3r/4, where the fixed rule of
     ``integrate_ball_weighted`` (1,024 nodes at n = 1, 9,216 at n = 2)
-    evaluates v; on v = 1 it meets unit mass to about 1e-12.
+    evaluates v; on v = 1 it meets unit mass to about 1e-12.  ``x`` is one
+    point or an (m, n) array of rows, ``r`` one radius or m radii, one per
+    row; a point returns a float and rows an (m,) array.  v is called once,
+    with the nodes of every row.
     """
     n, a = profile.n, profile.a
-    x = np.asarray(x, dtype=float).reshape(-1)
-    X0 = np.concatenate([x, [0.0]])
-    scale = r ** -(n + 1.0 + a)
+    rows = np.reshape(np.asarray(x, dtype=float), (-1, n))
+    X0 = np.column_stack([rows, np.zeros(len(rows))])
+    r = np.broadcast_to(np.asarray(r, dtype=float), (len(rows),))
+    # each power of a Python float: numpy's array power rounds some apart
+    scale = np.array([float(ri) ** -(n + 1.0 + a) for ri in r])
 
     def integrand(Z):
-        return scale * profile.phi((X0[None, :] - Z) / r) * np.asarray(v(Z))
+        k = len(Z) // len(X0)  # the nodes come row by row, k per row
+        center = np.repeat(X0, k, axis=0)
+        return np.repeat(scale, k) * profile.phi(
+            (center - Z) / np.repeat(r, k)[:, None]) * np.asarray(v(Z))
 
-    return integrate_ball_weighted(integrand, X0, r, a)
+    out = integrate_ball_weighted(integrand, X0, r, a)
+    return float(out[0]) if np.ndim(x) < 2 else out
 
 
 @dataclass

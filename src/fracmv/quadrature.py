@@ -163,30 +163,36 @@ def _sphere_rule(n: int, a: float):
     return dirs.reshape(-1, 3), np.outer(wu, wp).ravel()
 
 
-def integrate_ball_weighted(g, center, radius: float, a: float) -> float:
+def integrate_ball_weighted(g, center, radius, a: float):
     """Integrate ``g`` against |y|^a over the shell where phi_radius lives.
 
     ``g`` must vanish outside the shell SHELL[0] R < |Z - center| <
     SHELL[1] R, R = ``radius``, as phi_R(center - Z) does.  The center lies
     on y = 0, so Z = center + rho omega has |y|^a = rho^a |omega_y|^a: the
     rule is ``SHELL_RADII`` Gauss-Legendre radii with the weight rho^(n+a)
-    times ``_sphere_rule``.  ``g`` is called once, with every node as an
-    array of shape (m, n+1), and must return shape (m,).
+    times ``_sphere_rule``.  ``center`` is one point of length n+1 or an
+    (m, n+1) array of rows, ``radius`` one radius or m; a point returns a
+    float and rows an (m,) array.  ``g`` is called once, with every node of
+    every row, row by row, as an array of shape (k, n+1), and must return
+    shape (k,).
     """
-    center = np.asarray(center, dtype=float)
-    n = center.size - 1
+    centers = np.atleast_2d(np.asarray(center, dtype=float))
+    n = centers.shape[1] - 1
+    radii = np.broadcast_to(np.asarray(radius, dtype=float), (len(centers),))
     if n not in (1, 2):
         raise ValueError(f"supported spatial dimensions are 1 and 2, got n={n}")
-    if not radius > 0:
+    if not np.all(radii > 0):
         raise ValueError(f"radius must be positive, got {radius}")
-    if center[-1] != 0.0:
+    if np.any(centers[:, -1] != 0.0):
         raise ValueError("ball center must lie on the hyperplane y=0")
-    rho, wr = gauss_legendre(SHELL_RADII, (SHELL[0] * radius, SHELL[1] * radius))
     dirs, wd = _sphere_rule(n, a)
-    pts = (center + rho[:, None, None] * dirs).reshape(-1, n + 1)
-    w = np.outer(wr * rho ** (n + a), wd)
+    rules = [gauss_legendre(SHELL_RADII, (SHELL[0] * R, SHELL[1] * R)) for R in radii]
+    pts = np.concatenate([(c + rho[:, None, None] * dirs).reshape(-1, n + 1)
+                          for c, (rho, _) in zip(centers, rules)])
     vals = np.asarray(g(pts), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise EvaluationError(pts[~np.isfinite(vals)][0])
-    # a pairwise sum: its rounding grows like log m, not m
-    return float(np.sum(w.ravel() * vals))
+    # a pairwise sum per row: its rounding grows like log m, not m
+    out = np.array([np.sum(np.outer(wr * rho ** (n + a), wd).ravel() * v)
+                    for (rho, wr), v in zip(rules, np.split(vals, len(rules)))])
+    return float(out[0]) if np.ndim(center) == 1 else out

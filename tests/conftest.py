@@ -1,5 +1,6 @@
 import pytest
 
+import fracmv.extension
 import fracmv.kernel
 from fracmv.bump import normalize
 from fracmv.fraclap import Params
@@ -41,13 +42,14 @@ def table_n1_a0(get_table):
 
 @pytest.fixture()
 def engine_calls(monkeypatch):
-    """The rows of each call that fracmv.kernel makes to the ray engine."""
+    """The rows of each call that fracmv.kernel and extend make to the ray engine."""
     calls = []
-    real = fracmv.kernel.ray_integrals
+    real = fracmv.extension.ray_integrals
 
     def counted(f, x, *args, **kwargs):
         calls.append(x)
         return real(f, x, *args, **kwargs)
 
-    monkeypatch.setattr(fracmv.kernel, "ray_integrals", counted)
+    for module in (fracmv.kernel, fracmv.extension):
+        monkeypatch.setattr(module, "ray_integrals", counted)
     return calls

@@ -88,6 +88,19 @@ class TestSharpMaximal:
         f = make_field("constant", 1, 0.5)
         with pytest.raises(ValueError):
             sharp_maximal(f, np.zeros(1), 1.2, BallFamily())
+        with pytest.raises(ValueError):
+            sharp_maximal(f, np.zeros(1), (0.5, 1.2), BallFamily())
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_several_lambdas_equal_single_calls_bit_for_bit(self, n):
+        f = make_field("ball_poisson", n, 0.5, seed=1)
+        fam = BallFamily(r_min=1e-2, r_max=4.0, resolution=48)
+        x = np.full(n, 0.3)
+        got = sharp_maximal(f, x, (0.3, 0.5), fam)
+        assert got.shape == (2,)
+        want = [sharp_maximal(f, x, lam, fam) for lam in (0.3, 0.5)]
+        assert all(isinstance(w, float) for w in want)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestBallMeans:
@@ -229,6 +242,19 @@ class TestRatioReports:
         # the bound is uniform in r: halving the radius must stay in a band
         assert maxima[0.25] <= 4.0 * maxima[0.5] + 1e-12
         assert all(np.isfinite(r.value) for r in rows)
+
+    def test_several_lambdas_join_the_single_lambda_rows(self, table_n1_a0):
+        f = make_field("ball_poisson", 1, 0.5, seed=1)
+        domain = Domain.ball([0.0], 0.6)
+        grid = [np.array([u]) for u in (-0.3, 0.0, 0.3)]
+        fam = BallFamily(resolution=16)
+
+        def rows(lam):
+            return [(r.field_id, r.x, r.r, r.lam, r.value, r.kind)
+                    for r in gradient_sharp_ratio(table_n1_a0, f, domain, lam, grid,
+                                                  (0.5, 0.25), family=fam)]
+
+        assert rows((0.3, 0.5)) == rows(0.3) + rows(0.5)
 
     def test_each_ratio_makes_one_engine_call(self, table_n1_a0, engine_calls):
         f = make_field("ball_poisson", 1, 0.5, seed=1)

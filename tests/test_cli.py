@@ -139,6 +139,35 @@ class TestExtensionCommand:
         assert csv == "field_id,x,r,value,residual,kind\n"
 
 
+    def test_one_engine_call_per_field(self, tmp_path, engine_calls):
+        # constant and ball_poisson: 3 points x 3 radii x 1,024 nodes, whose
+        # mirror images (z, -y) fold onto one extend row each
+        assert main(["extension", "--n", "1", "--a", "0.5", "--out",
+                     str(tmp_path)]) == 0
+        assert [len(rows) for rows in engine_calls] == [4608, 4608]
+
+
+class TestRegularityCommand:
+    def test_engine_and_sharp_maximal_calls_per_field(self, table_file, tmp_path,
+                                                      engine_calls, monkeypatch):
+        import fracmv.analysis
+
+        sharp = []
+        real = fracmv.analysis.sharp_maximal
+
+        def counted(f, x, lam, family):
+            sharp.append(lam)
+            return real(f, x, lam, family)
+
+        monkeypatch.setattr(fracmv.analysis, "sharp_maximal", counted)
+        assert main(["regularity", "--table", table_file, "--out", str(tmp_path),
+                     "--fields", "ball_poisson,gaussian"]) == 0
+        # per field: the 9 (x, factor) gradient rows of both lambdas, then the
+        # 9 cells of the weighted ratio; one sharp maximal scan per x
+        assert [len(rows) for rows in engine_calls] == [9, 9, 9, 9]
+        assert sharp == [(0.3, 0.5)] * 6
+
+
 class TestUsageErrors:
     def test_both_a_and_s(self, table_file):
         assert main(["mvp", "--table", table_file,

@@ -182,6 +182,13 @@ class TestPsiComponent:
         assert np.array_equal(got, want)
 
 
+# (n, a, field): affine's truncation radius W grows with the height, so its
+# rows at n = 1 each get their own W within one extend call
+ROWS_CASES = [(n, a, name) for n in (1, 2) for a in (-0.5, 0.5)
+              for name in ("constant", "ball_poisson")] + [
+    (n, -0.5, "affine") for n in (1, 2)]
+
+
 class TestExtensionMeanValue:
     def test_constant_recovered(self, get_profile):
         prof = get_profile(1, 0.0)
@@ -202,6 +209,33 @@ class TestExtensionMeanValue:
         x = np.array([0.2])
         val = extension_mean_value(prof, v, x, 0.1)
         assert_allclose(val, f(x), atol=5e-4)
+
+    @pytest.mark.parametrize("n, a, name", ROWS_CASES)
+    def test_rows_equal_per_row_calls_bit_for_bit(self, get_profile, n, a, name):
+        # the CLI's rows: three points, each with its three radii.  At n = 1
+        # v is the reflected extension.  At n = 2 an extended ball_poisson or
+        # affine takes tens of seconds a row, so v is a cheap field of Z
+        # there; test_extend_with_row_heights_matches_single_rows pins
+        # extend's own rows
+        from fracmv.extension import reflected_extension
+
+        prof = get_profile(n, a)
+        f = make_field(name, n, (1.0 - a) / 2.0, seed=1)
+        if n == 1:
+            v = reflected_extension(Params(n=n, a=a), f)
+        else:
+            def v(Z):
+                return f(Z[:, :n]) * (1.0 + Z[:, -1] ** 2)
+        pts = np.array([[-0.62], [-0.31], [0.0]] if n == 1
+                       else [[0.0, 0.0], [0.4, 0.1], [-0.3, 0.35]])
+        deltas = 1.0 - np.linalg.norm(pts, axis=1)
+        x = np.repeat(pts, 3, axis=0)
+        r = np.ravel(np.outer(deltas, (0.1, 0.2, 0.4)))
+        got = extension_mean_value(prof, v, x, r)
+        assert got.shape == (9,)
+        want = [extension_mean_value(prof, v, xi, float(ri)) for xi, ri in zip(x, r)]
+        assert all(isinstance(w, float) for w in want)
+        np.testing.assert_array_equal(got, want)
 
 
 def _assert_spline_matches_scipy(x, y, r):

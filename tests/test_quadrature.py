@@ -174,6 +174,31 @@ def test_ball_weighted_calls_g_once(n):
     assert np.all((0.25 * 0.7 <= dist) & (dist <= 0.75 * 0.7))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("a", [-0.5, 0.5])
+def test_ball_weighted_rows_equal_per_row_calls_bit_for_bit(n, a):
+    # rows with their own centers and radii, or one radius for all; g sees
+    # every node of every row in one call, row by row
+    calls = []
+
+    def g(p):
+        calls.append(p.shape)
+        return np.exp(p[:, 0]) * (1.0 + p[:, -1] ** 2)
+
+    centers = np.zeros((4, n + 1))
+    centers[:, 0] = (-0.6, -0.1, 0.0, 0.45)
+    radii = np.array([0.03, 0.3, 0.7, 0.11])
+    k = 1024 if n == 1 else 9216
+    for radius in (radii, 0.2):
+        calls.clear()
+        got = integrate_ball_weighted(g, centers, radius, a)
+        assert calls == [(4 * k, n + 1)] and got.shape == (4,)
+        want = [integrate_ball_weighted(g, c, R, a)
+                for c, R in zip(centers, np.broadcast_to(radius, (4,)))]
+        assert all(isinstance(w, float) for w in want)
+        np.testing.assert_array_equal(got, want)
+
+
 def test_ball_weighted_propagates_nonfinite():
     def bad(p):
         out = np.ones(len(p))

@@ -8,13 +8,15 @@ The commands of COMMANDS run once in that export and once in the work tree
 PYTHONPATH, one BLAS thread and its own output directory, all with
 ``--seed 1``: ``kernel build`` at n = 1 and n = 2, a = 0; ``kernel verify``,
 ``mvp`` and ``regularity`` on each of those tables; ``extension --n 1`` at
-a = -0.5 and 0.5; and perfbench/steps.py's ``mvp2`` and ``regularity2`` on
-the n = 2 table.  Every file that either side writes is compared byte for
-byte, with one line per file that also gives the wall time of the command
-that wrote it on both sides, and the script exits 1 if any file differs or
-is missing on one side, or if a command fails on either side.
+a = -0.5 and 0.5, and at a = -0.5 on the constant, affine and ball_poisson
+fields, whose rows with different truncation radii share one extend call;
+and perfbench/steps.py's ``mvp2`` and ``regularity2`` on the n = 2 table.
+Every file that either side writes is compared byte for byte, with one
+line per file that also gives the wall time of the command that wrote it
+on both sides, and the script exits 1 if any file differs or is missing on
+one side, or if a command fails on either side.
 
-The n = 2 ``extension`` command is left out: it takes about 150 s.
+The n = 2 ``extension`` command is left out: it takes about two minutes.
 """
 from __future__ import annotations
 
@@ -41,6 +43,9 @@ COMMANDS = {
     **{f"extension_n1_a{a}": ["-m", "fracmv.cli", "extension", "--n", "1",
                               "--a", a, "--out", "{out}"]
        for a in ("-0.5", "0.5")},
+    "extension_n1_fields": ["-m", "fracmv.cli", "extension", "--n", "1",
+                            "--a", "-0.5", "--fields", "constant,affine,ball_poisson",
+                            "--out", "{out}"],
     **{step: ["perfbench/steps.py", step, "--table", "{build_n2}/table.txt",
               "--out", "{out}"]
        for step in ("mvp2", "regularity2")},
