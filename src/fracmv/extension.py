@@ -89,26 +89,27 @@ def ray_integrals(f: ScalarField, x, scale, kernel, tail: float, mass: float,
     dirs, ang_w = angular_rule(n, DIRECTIONS)
     D = len(dirs)
 
-    # the truncation radius of each row, from |K(t)| <= coef t^-tail and
-    # |f - f0| <= envelope(|x|) + |f0| + scale (h t)^degree; t^tail K(t)
-    # has settled by t = 1e18
+    # |K(t)| <= coef t^-tail; t^tail K(t) has settled by t = 1e18
     coef = abs(kernel(1e18)) * 1e18 ** tail
     surf = sphere_area(n)
-    terms = [(coef * surf * (f.envelope(np.linalg.norm(pts, axis=1)) + np.abs(f0)),
-              n - tail)]
-    if f.degree > 0:
-        terms.append((coef * surf * f.scale * h ** f.degree, n - tail + f.degree))
-    W = tail_radius(terms, 64.0, tol)
-    ends = _radial_breaks(float(W.max()), body)
     g_t, g_w = gauss_legendre(RADIAL_NODES, (-1.0, 1.0))
 
     parts = np.empty((len(pts), D))
     block = max(1, RAY_BLOCK // D)  # rows whose rays share one array
     for b0 in range(0, len(pts), block):
-        xb, hb = pts[b0:b0 + block], h[b0:b0 + block]
+        xb, hb, fb = pts[b0:b0 + block], h[b0:b0 + block], f0[b0:b0 + block]
+        # the truncation radius of each row, from the kernel's bound and
+        # |f - f0| <= envelope(|x|) + |f0| + scale (h t)^degree; the panel
+        # ends run to the block's largest and cap at each ray's own stop
+        terms = [(coef * surf * (f.envelope(np.linalg.norm(xb, axis=1)) + np.abs(fb)),
+                  n - tail)]
+        if f.degree > 0:
+            terms.append((coef * surf * f.scale * hb ** f.degree,
+                          n - tail + f.degree))
+        W = tail_radius(terms, 64.0, tol)
+        ends = _radial_breaks(float(W.max()), body)
         # ray i D + j is row i in direction j; its scale, f0 and stop
-        hr, fr = np.repeat(hb, D), np.repeat(f0[b0:b0 + block], D)
-        stop = np.repeat(W[b0:b0 + block], D)
+        hr, fr, stop = (np.repeat(v, D) for v in (hb, fb, W))
         # the ray z = x + u d meets the sphere |z| = rho where
         # u = -x.d +- sqrt(rho^2 - gap), gap = |x|^2 - (x.d)^2
         xd = sum(xb[:, k, None] * dirs[:, k] for k in range(n)).ravel()

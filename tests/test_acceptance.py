@@ -63,7 +63,7 @@ def test_criterion_1_normalization_chain(get_table, get_profile):
         if abs(pmass - 1.0) > 1e-8:
             failures.append(f"Poisson mass {pmass} at (n={n}, a={a})")
         tmass = get_table(n, a).mass()
-        if abs(tmass - 1.0) > 1e-4:
+        if abs(tmass - 1.0) > 1e-7:
             failures.append(f"table mass {tmass} at (n={n}, a={a})")
     _report(1, "normalization chain", failures)
 

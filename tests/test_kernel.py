@@ -6,13 +6,15 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.interpolate import CubicSpline
 
+import fracmv.kernel
 from fracmv.bump import SUPPORT_HI
 from fracmv.errors import TableMismatchError
+from fracmv.extension import poisson_constant
 from fracmv.fraclap import Params, make_field
-from fracmv.kernel import (DEFAULT_GRID, _CubicSpline, build_table,
-                           extension_mean_value, gradient_of_solution,
-                           phi_direct, phi_r_convolve, read_table,
-                           verify_kernel_properties, write_table)
+from fracmv.kernel import (DEFAULT_GRID, _CubicSpline, _exterior_series,
+                           _kernel_values, build_table, extension_mean_value,
+                           gradient_of_solution, phi_direct, phi_r_convolve,
+                           read_table, verify_kernel_properties, write_table)
 from fracmv.quadrature import gauss_legendre
 
 
@@ -27,10 +29,44 @@ class TestTableStructure:
 
     @pytest.mark.parametrize("a", [0.0, 0.5, -0.5])
     def test_unit_mass(self, a, get_table):
-        assert_allclose(get_table(1, a).mass(), 1.0, atol=1e-4)
+        # the exterior series past rmax leaves 5.3e-10..1.1e-9 here; the
+        # power-law tail it replaced left 4.3e-7..1.1e-5
+        assert_allclose(get_table(1, a).mass(), 1.0, atol=1e-7)
 
     def test_build_meta_records_mass_residual(self, table_n1_a0):
-        assert table_n1_a0.build_meta["mass_residual"] < 1e-4
+        assert table_n1_a0.build_meta["mass_residual"] < 1e-7
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("a", [-0.5, 0.5])
+    def test_nodes_from_one_take_the_series_bit_for_bit(self, get_table, n, a):
+        t = get_table(n, a)
+        outer = t.rho_grid >= 1.0
+        assert np.array_equal(t.phi_values[outer], t._series.phi(t.rho_grid[outer]))
+        assert np.array_equal(t.psi_profile[outer],
+                              t._series.dphi(t.rho_grid[outer]))
+        # the last node below 1 is the distance form's
+        i = np.flatnonzero(~outer)[-1]
+        assert (t.phi_values[i], t.psi_profile[i]) == _kernel_values(
+            t.profile, poisson_constant(n, a), float(t.rho_grid[i]))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_past_rmax_matches_distance_form(self, get_table, n):
+        # the power-law tail past rmax was off by 1.3e-4..1.6e-4 here; the
+        # distance form's Phi' loses digits to cancellation at rho = 200
+        t = get_table(n, 0.5)
+        rho = np.array([20.0, 50.0, 200.0])
+        want = np.array([_kernel_values(t.profile, poisson_constant(n, 0.5), r)
+                         for r in rho])
+        assert_allclose(t.phi_of(rho), want[:, 0], rtol=1e-13)
+        assert_allclose(t.psi_radial_of(rho), want[:, 1], rtol=1e-13)
+
+    def test_rebuild_is_bit_identical(self, get_table, tmp_path):
+        # the series coefficients are formed again, not reused from a cache
+        first, again = tmp_path / "first.txt", tmp_path / "again.txt"
+        write_table(get_table(2, 0.5), first)
+        _exterior_series.cache_clear()
+        write_table(build_table(Params(n=2, a=0.5)), again)
+        assert first.read_bytes() == again.read_bytes()
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_table_matches_phi_direct(self, get_table, n):
@@ -46,11 +82,13 @@ class TestTableStructure:
             assert_allclose(t.phi_values[i], phi_direct(t.profile, x),
                             rtol=5e-8, err_msg=f"rho={rho}")
 
-    def test_tail_extension_continuous_at_grid_edge(self, table_n1_a0):
-        t = table_n1_a0
-        inner = t.phi_of(t.rmax)
-        outer = t.phi_of(t.rmax * (1.0 + 1e-9))
-        assert_allclose(outer, inner, rtol=1e-6)
+    def test_tail_extension_continuous_at_grid_edge(self, table_n1_a0, get_table):
+        # the spline meets the exterior series at rmax to rounding: 1e-15
+        # over n = 1, 2 and |a| <= 0.99
+        for t in (table_n1_a0, get_table(2, 0.5)):
+            past = np.nextafter(t.rmax, np.inf)
+            for of in (t.phi_of, t.psi_radial_of):
+                assert_allclose(of(past), of(t.rmax), rtol=4e-15)
 
     def test_tail_exponent(self, table_n1_a0):
         # phi ~ rho^-(n+1-a) far out: doubling rho divides by 2^(n+1-a)
@@ -370,6 +408,16 @@ class TestRows:
 
 
 class TestPropertyReport:
+    def test_unit_mass_fails_with_the_power_law_tail(self, get_table, monkeypatch):
+        # the tail the series replaced, Phi(rmax) (rho/rmax)^-(n+1-a), leaves
+        # a mass residual of 1.1e-5 at n = 1, a = 0.5
+        t = get_table(1, 0.5)
+        monkeypatch.setattr(fracmv.kernel._ExteriorSeries, "tail_mass",
+                            lambda self, R: t.phi_values[-1] * R / 0.5)
+        row, = [c for c in verify_kernel_properties(t, []).checks
+                if c.name == "unit_mass"]
+        assert not row.passed and row.measured > 1e-6
+
     def test_full_report_passes(self, table_n1_a0):
         report = verify_kernel_properties(table_n1_a0,
                                           _domination_fields(table_n1_a0))

@@ -128,3 +128,21 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_build_and_regularity_load_no_numpy_ma(tmp_path):
+    # numpy.ma cost 15.5-17 ms of each process's start-up; np.unique and
+    # np.median import it, and no command needs either
+    (tmp_path / "coarse.cfg").write_text(
+        "grid.dense_points = 33\ngrid.geo_points = 16\n")
+    table = tmp_path / "table.txt"
+    code = ("import sys; from fracmv.cli import main; "
+            "code = main(sys.argv[1:]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    for argv in (["kernel", "build", "--n", "1", "--a", "0.0",
+                  "--config", str(tmp_path / "coarse.cfg"), "--table", str(table)],
+                 ["regularity", "--table", str(table), "--out", str(tmp_path)]):
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert out.splitlines()[-1] == "0 False", argv

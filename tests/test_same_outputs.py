@@ -46,3 +46,24 @@ def test_each_file_line_gives_its_command_time_on_both_sides():
         "           identical  build_n1/table.txt  (base 0.50 s, work tree 0.25 s)",
         "             differs  mvp_n1/mean_value.csv  (base 1.23 s, work tree 12.00 s)",
     ]
+
+
+def test_a_differing_file_gets_its_largest_numeric_changes(tmp_path):
+    old = b"name,x,r,residual\nconstant,0.3,0.05,1.0e-05\nball,,nan,2.0e-07\n"
+    new = b"name,x,r,residual\nconstant,0.3,0.05,7.0e-12\nball,,nan,4.0e-07\n"
+    assert same_outputs.numeric_change(old, new) == (
+        "max abs change 1.00e-05 (line 2: 1e-05 -> 7e-12), "
+        "max rel change 1.00e+00 (line 3: 2e-07 -> 4e-07)")
+    # a table's built_with line splits at ; and : too
+    assert same_outputs.numeric_change(
+        b"built_with=dense_points:257;mass_residual:2.5e-06\n",
+        b"built_with=dense_points:257;mass_residual:1e-09\n").startswith(
+        "max abs change 2.50e-06 (line 1: 2.5e-06 -> 1e-09)")
+    assert same_outputs.numeric_change(old, old + b"x\n") == "layout differs"
+    assert same_outputs.numeric_change(b"a,1\n", b"b,1\n") == \
+        "no numeric field changed"
+    rows = [("mvp_n1/mean_value.csv", "differs")]
+    runs = {"base": {"mvp_n1": (0, 1.0)}, "work": {"mvp_n1": (0, 2.0)}}
+    assert same_outputs.report(rows, runs, {"mvp_n1/mean_value.csv": "text"}) == [
+        "             differs  mvp_n1/mean_value.csv  (base 1.00 s, work tree 2.00 s)",
+        "                      text"]

@@ -13,15 +13,20 @@ fields, whose rows with different truncation radii share one extend call;
 and perfbench/steps.py's ``mvp2`` and ``regularity2`` on the n = 2 table.
 Every file that either side writes is compared byte for byte, with one
 line per file that also gives the wall time of the command that wrote it
-on both sides, and the script exits 1 if any file differs or is missing on
-one side, or if a command fails on either side.
+on both sides.  Under each file that differs a second line gives the
+largest absolute and the largest relative change over its numeric fields,
+each with its line and its old and new value.  The script exits 1 if any
+file differs or is missing on one side, or if a command fails on either
+side.
 
 The n = 2 ``extension`` command is left out: it takes about two minutes.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -93,15 +98,55 @@ def compare(base: Path, work: Path) -> list[tuple[str, str]]:
     return rows
 
 
-def report(rows, runs) -> list[str]:
+def _numbers(data: bytes) -> list[list]:
+    """Each line's fields, split at , ; : = and blanks, as floats where they parse."""
+    out = []
+    for line in data.decode(errors="replace").splitlines():
+        row = []
+        for field in re.split(r"[,;:=\s]+", line):
+            try:
+                row.append(float(field))
+            except ValueError:
+                row.append(field)
+        out.append(row)
+    return out
+
+
+def numeric_change(old: bytes, new: bytes) -> str:
+    """The largest absolute and relative change over the numeric fields that
+    two files share, field by field, each with its line and both values."""
+    a, b = _numbers(old), _numbers(new)
+    if len(a) != len(b) or any(len(x) != len(y) for x, y in zip(a, b)):
+        return "layout differs"
+    worst = {}  # kind -> (change, line, old, new)
+    for i, (x, y) in enumerate(zip(a, b), start=1):
+        for u, v in zip(x, y):
+            if not (isinstance(u, float) and isinstance(v, float)) or u == v \
+                    or (math.isnan(u) and math.isnan(v)):
+                continue
+            diff = abs(v - u)
+            rel = diff / abs(u) if u else math.inf
+            for kind, change in (("abs", diff), ("rel", rel)):
+                if not change <= worst.get(kind, (-1.0,))[0]:
+                    worst[kind] = (change, i, u, v)
+    if not worst:
+        return "no numeric field changed"
+    return ", ".join(f"max {kind} change {c:.2e} (line {i}: {u!r} -> {v!r})"
+                     for kind, (c, i, u, v) in worst.items())
+
+
+def report(rows, runs, changes=None) -> list[str]:
     """One line per (file, verdict) row, with the wall time on both sides of
-    the command whose directory holds the file."""
+    the command whose directory holds the file, and for a file in
+    ``changes`` (relative path -> text) that text on the next line."""
     lines = []
     for rel, verdict in rows:
         name = rel.split("/")[0]
         base, work = runs["base"][name][1], runs["work"][name][1]
         lines.append(f"{verdict:>20}  {rel}  (base {base:.2f} s, "
                      f"work tree {work:.2f} s)")
+        if changes and rel in changes:
+            lines.append(f"{'':>20}  {changes[rel]}")
     return lines
 
 
@@ -116,7 +161,10 @@ def main(argv=None) -> int:
         runs = {"base": run_all(tmp / "tree", tmp / "base"),
                 "work": run_all(ROOT, tmp / "work")}
         rows = compare(tmp / "base", tmp / "work")
-    print("\n".join(report(rows, runs)))
+        changes = {rel: numeric_change((tmp / "base" / rel).read_bytes(),
+                                       (tmp / "work" / rel).read_bytes())
+                   for rel, verdict in rows if verdict == "differs"}
+    print("\n".join(report(rows, runs, changes)))
     bad_codes = [name for name in COMMANDS
                  if runs["base"][name][0] or runs["work"][name][0]]
     for name in bad_codes:
