@@ -225,8 +225,9 @@ def gradient_sharp_ratio(table: RadialKernelTable, f: ScalarField,
                            "gradient_sharp_ratio")
                  for x, rs, qs in zip(pts, radii, ratios) for r, q in zip(rs, qs)]
         for fac, vals in zip(radius_factors, zip(*ratios)):
+            # np.max keeps a NaN ratio, which the band check then fails
             rows.append(ReportRow(field_id, (), fac, lm, math.nan,
-                                  max(vals), "ratio_max_over_grid"))
+                                  np.max(vals), "ratio_max_over_grid"))
             rows.append(ReportRow(field_id, (), fac, lm, math.nan,
                                   _median(vals), "ratio_median_over_grid"))
     return rows

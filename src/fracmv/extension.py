@@ -63,24 +63,24 @@ def _ray_panels(ends, stop, cuts):
 
 
 def ray_integrals(f: ScalarField, x, scale, kernel, tail: float, mass: float,
-                  body, tol: float, subtract=0.0):
+                  body, tol: float, subtract=0.0, moment: bool = False):
     """Integrals of f along rays from each row against a radial kernel K.
 
     Row i is a point x_i with a scale h_i > 0.  Direction d_j of the angular
-    rule, of weight w_j, gives parts[i, j] = w_j times the integral over
-    t > 0 of K(t) t^(n-1) (f(x_i + h_i t d_j) - f0_i), f0 = ``subtract``.
-    |K(t)| decays like t^-tail past t = 64, ``mass`` is the integral of
-    K(|w|) over R^n, and ``body`` holds the panel ends, from 0, that resolve
-    K.  A ray stops at its row's truncation radius W, past which the growth
-    envelope bounds the rest below ``tol``, or for a field with
-    ``far = (R, c)`` where it leaves |z| < R if that comes first.  Past its
-    stop it takes f = c: it adds (c - f0_i) times mass / |S^(n-1)| less its
-    rule's kernel mass.  Its panel ends are those of ``_radial_breaks`` and
-    its crossings of the ``f.kink_radii`` spheres, capped at its stop and
-    sorted, one row of an array per ray (``_ray_panels``); each panel forms
-    its own RADIAL_NODES-node Gauss rule from its ends where it is
-    evaluated.  Each ray sums its panels in order, so a row's parts do not
-    depend on the other rows.
+    rule, of weight w_j, gives I_ij, the integral over t > 0 of
+    K(t) t^(n-1) (f(x_i + h_i t d_j) - f0_i), f0 = ``subtract``.  Returns
+    sum_j w_j I_ij, an (m,) array, or with ``moment`` sum_j w_j d_j I_ij, an
+    (m, n) array.  |K(t)| decays like t^-tail past t = 64, ``mass`` is the
+    integral of K(|w|) over R^n, and ``body`` holds the panel ends, from 0,
+    that resolve K.  A ray stops at its row's truncation radius W (one
+    ``tail_radius`` call for all rows), past which the growth envelope bounds
+    the rest below ``tol``, or for a field with ``far = (R, c)`` where it
+    leaves |z| < R if that comes first; past its stop it adds (c - f0_i)
+    times mass / |S^(n-1)| less its rule's kernel mass.  Its panels end at
+    the ``_radial_breaks`` up to the largest W and at its crossings of the
+    ``f.kink_radii`` spheres, capped at its stop (``_ray_panels``), each with
+    its own RADIAL_NODES-node Gauss rule.  Each ray sums its panels in order
+    and each row its rays, so a row's value does not depend on the others.
     """
     n = f.n
     pts = np.asarray(x, dtype=float).reshape(-1, n)
@@ -92,24 +92,24 @@ def ray_integrals(f: ScalarField, x, scale, kernel, tail: float, mass: float,
     # |K(t)| <= coef t^-tail; t^tail K(t) has settled by t = 1e18
     coef = abs(kernel(1e18)) * 1e18 ** tail
     surf = sphere_area(n)
+    # the truncation radius of each row, from the kernel's bound and
+    # |f - f0| <= envelope(|x|) + |f0| + scale (h t)^degree; the panel ends
+    # run to the largest and cap at each ray's own stop
+    terms = [(coef * surf * (f.envelope(np.linalg.norm(pts, axis=1)) + np.abs(f0)),
+              n - tail)]
+    if f.degree > 0:
+        terms.append((coef * surf * f.scale * h ** f.degree, n - tail + f.degree))
+    W = tail_radius(terms, 64.0, tol)
+    ends = _radial_breaks(float(W.max(initial=0.0)), body)
     g_t, g_w = gauss_legendre(RADIAL_NODES, (-1.0, 1.0))
 
-    parts = np.empty((len(pts), D))
+    out = np.empty((len(pts), n) if moment else len(pts))
     block = max(1, RAY_BLOCK // D)  # rows whose rays share one array
     for b0 in range(0, len(pts), block):
-        xb, hb, fb = pts[b0:b0 + block], h[b0:b0 + block], f0[b0:b0 + block]
-        # the truncation radius of each row, from the kernel's bound and
-        # |f - f0| <= envelope(|x|) + |f0| + scale (h t)^degree; the panel
-        # ends run to the block's largest and cap at each ray's own stop
-        terms = [(coef * surf * (f.envelope(np.linalg.norm(xb, axis=1)) + np.abs(fb)),
-                  n - tail)]
-        if f.degree > 0:
-            terms.append((coef * surf * f.scale * hb ** f.degree,
-                          n - tail + f.degree))
-        W = tail_radius(terms, 64.0, tol)
-        ends = _radial_breaks(float(W.max()), body)
+        rows = slice(b0, b0 + block)
+        xb = pts[rows]
         # ray i D + j is row i in direction j; its scale, f0 and stop
-        hr, fr, stop = (np.repeat(v, D) for v in (hb, fb, W))
+        hr, fr, stop = (np.repeat(v[rows], D) for v in (h, f0, W))
         # the ray z = x + u d meets the sphere |z| = rho where
         # u = -x.d +- sqrt(rho^2 - gap), gap = |x|^2 - (x.d)^2
         xd = sum(xb[:, k, None] * dirs[:, k] for k in range(n)).ravel()
@@ -154,8 +154,10 @@ def ray_integrals(f: ScalarField, x, scale, kernel, tail: float, mass: float,
         total = np.bincount(ray, sums, stop.size).astype(float, copy=False)
         if f.far is not None:
             total += (c - fr) * (mass / surf - np.bincount(ray, masses, stop.size))
-        parts[b0:b0 + block] = total.reshape(-1, D) * ang_w
-    return dirs, parts
+        parts = total.reshape(-1, D) * ang_w
+        # each row its own product: (rows, D) @ (D, n) rounds differently
+        out[rows] = [part @ dirs for part in parts] if moment else parts.sum(axis=1)
+    return out
 
 
 def extend(params: Params, f: ScalarField, x, y, tol: float = 1e-8):
@@ -180,10 +182,9 @@ def extend(params: Params, f: ScalarField, x, y, tol: float = 1e-8):
     if np.any(up):
         C = poisson_constant(n, a)
         p = n + 1.0 - a
-        _, parts = ray_integrals(f, pts[up], h[up],
+        out[up] += ray_integrals(f, pts[up], h[up],
                                  lambda t: C * (1.0 + t * t) ** (-0.5 * p), p, 1.0,
                                  (0.0, 1.0), tol, subtract=out[up])
-        out[up] += parts.sum(axis=1)
     return float(out[0]) if single else out
 
 

@@ -437,9 +437,8 @@ def phi_r_convolve(table: RadialKernelTable, f: ScalarField, x, r,
     """
     pts, single = f.rows(x)
     n, a = table.params.n, table.params.a
-    _, parts = ray_integrals(f, pts, r, table.phi_of, n + 1.0 - a, table.mass(),
-                             KERNEL_BODY, tol)
-    out = parts.sum(axis=1)
+    out = ray_integrals(f, pts, r, table.phi_of, n + 1.0 - a, table.mass(),
+                        KERNEL_BODY, tol)
     return float(out[0]) if single else out
 
 
@@ -457,10 +456,9 @@ def gradient_of_solution(table: RadialKernelTable, f: ScalarField, x,
     n, a = table.params.n, table.params.a
     # Phi' has one mass along every direction, which cancels from the sum
     # over +-d, so 0 stands in for it
-    dirs, parts = ray_integrals(f, pts, r, table.psi_radial_of, n + 2.0 - a, 0.0,
-                                KERNEL_BODY, 1e-5, subtract=f(pts))
-    # each row its own product: (m, D) @ (D, n) rounds differently
-    out = -np.array([row @ dirs for row in parts]) / np.reshape(r, (-1, 1))
+    out = -ray_integrals(f, pts, r, table.psi_radial_of, n + 2.0 - a, 0.0,
+                         KERNEL_BODY, 1e-5, subtract=f(pts),
+                         moment=True) / np.reshape(r, (-1, 1))
     return out[0] if single else out
 
 
@@ -640,9 +638,10 @@ def read_table(path) -> RadialKernelTable:
     """Read a table written by ``write_table``.
 
     A missing or wrong digest line, a missing header key, a header value or
-    row that does not parse, an ``s`` other than (1 - a)/2, or a row count
-    other than the header's raises TableMismatchError.  Header keys it
-    does not know, such as the ``A=`` line of older tables, are ignored.
+    row that does not parse, an ``s`` other than (1 - a)/2, a ``kappa`` that
+    is not finite and positive, or a row count other than the header's
+    raises TableMismatchError.  Header keys it does not know, such as the
+    ``A=`` line of older tables, are ignored.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -670,6 +669,9 @@ def read_table(path) -> RadialKernelTable:
             raise TableMismatchError(
                 f"s={header['s']} is not (1 - a)/2 = {params.s!r}")
         profile = BumpProfile(n=n, a=a, kappa=float(header["kappa"]))
+        if not 0.0 < profile.kappa < math.inf:
+            raise TableMismatchError(
+                f"kappa={header['kappa']} is not finite and positive")
         if len(rows) != int(header["grid"]):
             raise TableMismatchError(
                 f"expected {header['grid']} rows, found {len(rows)}")

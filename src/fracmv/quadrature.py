@@ -87,27 +87,24 @@ def tail_radius(terms, start: float, tol: float):
     """Truncation radius W of an integral over all of space.
 
     Each (c, p) term bounds part of the tail beyond W by c W^p / (-p).  W
-    starts at ``start`` and grows by 4 until the bound is at most tol/2.
-    A coefficient c may be an array, one bound per row; W is then an array
-    with each row's own radius.  Raises ToleranceError when some p >= 0, or
-    when a bound is still above ``tol`` once W reaches 1e18.
+    starts at ``start`` and grows by 4 until the bound is at most tol/2, or
+    until W reaches 1e18.  A coefficient c may be an array, one bound per
+    row; W is then an array with each row's own radius, and only the rows
+    whose bound is still above tol/2 grow.  Raises ToleranceError when some
+    p >= 0, or when a bound at its row's W is above ``tol`` or not a number.
     """
     if any(p >= 0.0 for _, p in terms):
         raise ToleranceError("tail diverges for declared growth", math.inf, tol)
-    radii = [float(start)]
-    while radii[-1] < 1e18:
-        radii.append(radii[-1] * 4.0)
-    radii = np.array(radii)
-    # the bound of every row (leading axes) at every radius (last axis)
-    bound = sum(np.multiply.outer(c, radii ** p) / -p for c, p in terms)
-    small = bound <= tol / 2.0
-    small[..., -1] = True
-    first = small.argmax(axis=-1)
-    final = np.take_along_axis(bound, first[..., None], axis=-1)
-    if np.any(final > tol):
-        raise ToleranceError("tail estimate above tolerance", float(final.max()), tol)
-    W = radii[first]
-    return float(W) if np.ndim(W) == 0 else W
+    W = np.full(np.broadcast(*(c for c, _ in terms)).shape, float(start))
+    while True:
+        bound = sum(c * W ** p / -p for c, p in terms)
+        grow = (bound > tol / 2.0) & (W < 1e18)
+        if not grow.any():
+            break
+        W[grow] *= 4.0
+    if not np.all(bound <= tol):
+        raise ToleranceError("tail estimate above tolerance", float(np.max(bound)), tol)
+    return float(W) if W.ndim == 0 else W
 
 
 def gauss_legendre(count: int, breaks):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracmv.cli
 from fracmv.cli import (DEFAULT_TOLERANCES, RunConfig, UsageError,
                         _build_config, _make_parser, main)
 from fracmv.errors import TableMismatchError
@@ -27,6 +29,24 @@ def _sealed(text):
     """Table text with its digest line replaced by one that matches."""
     body = text.rpartition("sha256=")[0] if "\nsha256=" in text else text
     return body + "sha256=" + hashlib.sha256(body.encode()).hexdigest() + "\n"
+
+
+def _nan_at(monkeypatch, point):
+    """Make every field of a command return NaN at ``point`` alone."""
+    real = fracmv.cli._make_fields
+
+    def make(names, params, seed):
+        out = []
+        for name, f in real(names, params, seed):
+            def evaluator(pts, f=f):
+                vals = np.array(f.evaluator(pts), dtype=float)
+                vals[np.all(pts == point, axis=1)] = np.nan
+                return vals
+
+            out.append((name, dataclasses.replace(f, evaluator=evaluator)))
+        return out
+
+    monkeypatch.setattr(fracmv.cli, "_make_fields", make)
 
 
 @pytest.fixture(scope="session")
@@ -119,6 +139,14 @@ class TestMeanValueCommand:
                      "--tol", "mvp=1e-12", "--fields", "ball_poisson"])
         assert code == 1
 
+    def test_a_nan_residual_fails(self, table_file, tmp_path, monkeypatch, capsys):
+        # f(x) is NaN at the first interior point, so are its residuals
+        _nan_at(monkeypatch, [-0.62])
+        assert main(["mvp", "--table", table_file, "--out", str(tmp_path),
+                     "--fields", "constant"]) == 1
+        assert "worst nan of allowance" in capsys.readouterr().out
+        assert ",nan," in (tmp_path / "mean_value.csv").read_text()
+
     def test_affine_skipped_when_not_integrable(self, table_file, tmp_path,
                                                 capsys):
         code = main(["mvp", "--table", table_file, "--out", str(tmp_path),
@@ -138,6 +166,12 @@ class TestExtensionCommand:
         csv = (tmp_path / "extension_check.csv").read_text()
         assert csv == "field_id,x,r,value,residual,kind\n"
 
+
+    def test_a_nan_residual_fails(self, tmp_path, monkeypatch, capsys):
+        _nan_at(monkeypatch, [-0.62])
+        assert main(["extension", "--n", "1", "--a", "0.5", "--out",
+                     str(tmp_path), "--fields", "constant"]) == 1
+        assert "extension check FAILED" in capsys.readouterr().out
 
     def test_one_engine_call_per_field(self, tmp_path, engine_calls):
         # constant and ball_poisson: 3 points x 3 radii x 1,024 nodes, whose
@@ -166,6 +200,29 @@ class TestRegularityCommand:
         # 9 cells of the weighted ratio; one sharp maximal scan per x
         assert [len(rows) for rows in engine_calls] == [9, 9, 9, 9]
         assert sharp == [(0.3, 0.5)] * 6
+
+    def test_a_nan_value_at_a_grid_point_fails(self, table_file, tmp_path,
+                                               monkeypatch):
+        # the gradient's tail bound at that point is NaN
+        _nan_at(monkeypatch, [-0.62])
+        assert main(["regularity", "--table", table_file, "--out", str(tmp_path),
+                     "--fields", "gaussian"]) == 1
+
+    def test_a_nan_ratio_fails_the_band(self, table_file, tmp_path, monkeypatch):
+        # a NaN gradient at the second grid point's smallest radius makes
+        # that radius' largest ratio NaN, which the band check fails
+        import fracmv.analysis
+
+        real = fracmv.analysis.gradient_of_solution
+
+        def gradient(*args):
+            grads = real(*args)
+            grads[5] = np.nan
+            return grads
+
+        monkeypatch.setattr(fracmv.analysis, "gradient_of_solution", gradient)
+        assert main(["regularity", "--table", table_file, "--out", str(tmp_path),
+                     "--fields", "gaussian"]) == 1
 
 
 class TestUsageErrors:
@@ -310,6 +367,19 @@ class TestMalformedTable:
         with pytest.raises(TableMismatchError):
             read_table(path)
         assert main(["mvp", "--table", str(path), "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("kappa", ["nan", "inf", "0.0", "-1.0"])
+    def test_kappa_not_finite_and_positive_exits_3(self, table_file, tmp_path,
+                                                  kappa):
+        text = open(table_file).read()
+        start = text.index("\nkappa=") + 1
+        end = text.index("\n", start)
+        path = tmp_path / "kappa.txt"
+        path.write_text(_sealed(text[:start] + f"kappa={kappa}" + text[end:]))
+        with pytest.raises(TableMismatchError, match="kappa"):
+            read_table(path)
+        for cmd in (["mvp"], ["regularity"], ["kernel", "verify"]):
+            assert main([*cmd, "--table", str(path), "--out", str(tmp_path)]) == 3
 
     def test_metadata_is_not_evaluated(self, table_file, tmp_path):
         text = open(table_file).read().replace(

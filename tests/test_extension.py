@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,9 +11,9 @@ from numpy.testing import assert_allclose
 
 import fracmv.extension
 from fracmv.errors import FieldRejectedError, ToleranceError
-from fracmv.extension import (EXTEND_POINTS, RADIAL_NODES, _radial_breaks,
-                              _ray_panels, extend, poisson_constant,
-                              reflected_extension)
+from fracmv.extension import (DIRECTIONS, EXTEND_POINTS, RADIAL_NODES,
+                              _radial_breaks, _ray_panels, extend,
+                              poisson_constant, reflected_extension)
 from fracmv.fraclap import Params, make_field
 from fracmv.kernel import gradient_of_solution, phi_r_convolve
 from fracmv.quadrature import gauss_legendre
@@ -328,3 +329,38 @@ def test_constant_is_exactly_one(n, a):
             warnings.simplefilter("error")
             vals = extend(p, f, x, h)
         np.testing.assert_array_equal(vals, 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_truncation_per_engine_call(monkeypatch, engine_calls, n):
+    # 300 rows span 3 ray blocks at n = 1 and 60 at n = 2; each row has its
+    # own |x| and height, so its own W, and every block reads the one call's
+    calls = {"tail_radius": 0, "_radial_breaks": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(fracmv.extension, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(fracmv.extension, name, counted)
+    p = Params(n=n, a=-0.5)
+    f = make_field("affine", n, p.s)
+    x = np.random.default_rng(4).uniform(-3.0, 3.0, (300, n))
+    extend(p, f, x, np.geomspace(0.01, 2.0, 300))
+    assert len(engine_calls) == 1
+    assert calls == {"tail_radius": 1, "_radial_breaks": 1}
+
+
+def test_the_engine_holds_no_rows_by_directions_array(get_table):
+    # one value per row comes back: the peak stays below half of a
+    # rows x DIRECTIONS array of doubles
+    table = get_table(2, 0.0)
+    f = make_field("constant", 2, table.params.s)
+    x = np.random.default_rng(5).uniform(-0.5, 0.5, (2000, 2))
+    phi_r_convolve(table, f, x[:5], 0.1)  # the caches of the first call
+    tracemalloc.start()
+    try:
+        phi_r_convolve(table, f, x, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(x) * DIRECTIONS * 8 / 2

@@ -109,6 +109,31 @@ def test_tail_radius(terms, expected):
         assert tail_radius(terms, 10.0, 1e-2) == expected
 
 
+def test_tail_radius_rows_equal_scalar_calls_bit_for_bit():
+    # rows that stop at once (64), after some rungs, and only at the last
+    # rung (64 4^27 >= 1e18, with a bound between tol/2 and tol there)
+    tol = 1e-8
+    last = 64.0 * 4.0 ** 27
+    c = np.array([1e-20, 3e-9, 1.0, 7.5e3, 0.75 * tol * 1.5 * last ** 1.5, 0.0])
+    g = 1e-3 * np.array([0.0, 2.0, 0.5, 1.0, 0.0, 3.0]) ** 0.7
+    W = tail_radius([(c, -1.5), (g, -0.8)], 64.0, tol)
+    assert W.shape == (6,) and W[0] == 64.0 and W[4] == last
+    assert 64.0 < W[5] < last
+    for i, w in enumerate(W):
+        scalar = tail_radius([(float(c[i]), -1.5), (float(g[i]), -0.8)], 64.0, tol)
+        assert type(scalar) is float and scalar == w
+    # one row whose bound is still above tol at the last rung raises for all
+    with pytest.raises(ToleranceError, match="above tolerance"):
+        tail_radius([(c, -0.01)], 64.0, tol)
+
+
+@pytest.mark.parametrize("c", [math.nan, np.array([1.0, math.nan])])
+def test_tail_radius_rejects_a_bound_that_is_not_a_number(c):
+    # a NaN bound is never above tol/2 and used to take the last radius
+    with pytest.raises(ToleranceError, match="nan"):
+        tail_radius([(c, -1.0)], 64.0, 1e-8)
+
+
 SHELL_AS = (-0.99, -0.5, 0.0, 0.5, 0.9)
 
 

@@ -1,4 +1,5 @@
 """The file comparison and the command list of tools/same_outputs.py."""
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,12 +41,41 @@ def test_every_command_writes_to_its_own_directory():
 
 def test_each_file_line_gives_its_command_time_on_both_sides():
     rows = [("build_n1/table.txt", "identical"), ("mvp_n1/mean_value.csv", "differs")]
-    runs = {"base": {"build_n1": (0, 0.5), "mvp_n1": (0, 1.234)},
-            "work": {"build_n1": (0, 0.25), "mvp_n1": (3, 12.0)}}
+    runs = {"base": {"build_n1": (0, 0.5, 36.0), "mvp_n1": (0, 1.234, 40.0)},
+            "work": {"build_n1": (0, 0.25, 36.0), "mvp_n1": (3, 12.0, 40.0)}}
     assert same_outputs.report(rows, runs) == [
-        "           identical  build_n1/table.txt  (base 0.50 s, work tree 0.25 s)",
-        "             differs  mvp_n1/mean_value.csv  (base 1.23 s, work tree 12.00 s)",
+        "           identical  build_n1/table.txt  (base 0.50 s 36.0 MB, "
+        "work tree 0.25 s 36.0 MB)",
+        "             differs  mvp_n1/mean_value.csv  (base 1.23 s 40.0 MB, "
+        "work tree 12.00 s 40.0 MB)",
     ]
+
+
+def test_each_file_line_gives_its_command_peak_rss_on_both_sides():
+    rows = [("extension_n1_fields/extension_check.csv", "identical")]
+    runs = {"base": {"extension_n1_fields": (0, 0.61, 69.44)},
+            "work": {"extension_n1_fields": (0, 0.58, 54.04)}}
+    assert same_outputs.report(rows, runs) == [
+        "           identical  extension_n1_fields/extension_check.csv  "
+        "(base 0.61 s 69.4 MB, work tree 0.58 s 54.0 MB)"]
+
+
+def test_run_one_reads_each_childs_own_peak_rss(tmp_path):
+    # run from a fresh interpreter, whose own peak is a floor for its
+    # children's: one child that fills 64 MB, then one that does not, which
+    # RUSAGE_CHILDREN would give the first one's peak
+    tools = str(Path(same_outputs.__file__).parent)
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import same_outputs\n"
+              "big = [sys.executable, '-c', 'b = b\"x\" * (64 << 20)']\n"
+              "small = [sys.executable, '-c', 'pass']\n"
+              "print(*[same_outputs.run_one(argv, '.', None)[2] for argv in (big, small)])")
+    out = subprocess.run([sys.executable, "-c", script, tools], cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    big, small = map(float, out.split())
+    assert big >= 64.0 and small < big - 32.0
+    code, wall, _ = same_outputs.run_one(
+        [sys.executable, "-c", "raise SystemExit(3)"], tmp_path, None)
+    assert code == 3 and wall > 0.0
 
 
 def test_a_differing_file_gets_its_largest_numeric_changes(tmp_path):
@@ -63,7 +93,8 @@ def test_a_differing_file_gets_its_largest_numeric_changes(tmp_path):
     assert same_outputs.numeric_change(b"a,1\n", b"b,1\n") == \
         "no numeric field changed"
     rows = [("mvp_n1/mean_value.csv", "differs")]
-    runs = {"base": {"mvp_n1": (0, 1.0)}, "work": {"mvp_n1": (0, 2.0)}}
+    runs = {"base": {"mvp_n1": (0, 1.0, 40.0)}, "work": {"mvp_n1": (0, 2.0, 40.5)}}
     assert same_outputs.report(rows, runs, {"mvp_n1/mean_value.csv": "text"}) == [
-        "             differs  mvp_n1/mean_value.csv  (base 1.00 s, work tree 2.00 s)",
+        "             differs  mvp_n1/mean_value.csv  (base 1.00 s 40.0 MB, "
+        "work tree 2.00 s 40.5 MB)",
         "                      text"]

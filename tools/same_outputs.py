@@ -12,10 +12,11 @@ a = -0.5 and 0.5, and at a = -0.5 on the constant, affine and ball_poisson
 fields, whose rows with different truncation radii share one extend call;
 and perfbench/steps.py's ``mvp2`` and ``regularity2`` on the n = 2 table.
 Every file that either side writes is compared byte for byte, with one
-line per file that also gives the wall time of the command that wrote it
-on both sides.  Under each file that differs a second line gives the
-largest absolute and the largest relative change over its numeric fields,
-each with its line and its old and new value.  The script exits 1 if any
+line per file that also gives the wall time and the peak RSS of the
+command that wrote it on both sides (each child's own ``os.wait4``
+rusage).  Under each file that differs a second line gives the largest
+absolute and the largest relative change over its numeric fields, each
+with its line and its old and new value.  The script exits 1 if any
 file differs or is missing on one side, or if a command fails on either
 side.
 
@@ -58,10 +59,31 @@ COMMANDS = {
 SEED = "1"
 
 
+def run_one(argv, tree: Path, env: dict) -> tuple:
+    """Run one command to its end: (exit code, wall seconds, peak RSS in MB).
+
+    exec keeps the high-water mark of the process it replaces, so a child's
+    peak is never below this script's own.
+    """
+    start = time.perf_counter()
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                                stderr=err)
+        # this child's own rusage: RUSAGE_CHILDREN would take the largest of all
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            err.seek(0)
+            print(f"{argv[1:]} in {tree} exited {proc.returncode}:\n"
+                  f"{err.read().decode(errors='replace')[-2000:]}", file=sys.stderr)
+    return proc.returncode, wall, usage.ru_maxrss / 1024.0
+
+
 def run_all(tree: Path, out: Path) -> dict:
     """Run every command in ``tree``, each into out/<name>.
 
-    Returns (exit code, wall seconds) per command.
+    Returns ``run_one``'s (exit code, wall seconds, peak RSS) per command.
     """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -71,13 +93,7 @@ def run_all(tree: Path, out: Path) -> dict:
     for name, argv in COMMANDS.items():
         dirs[name].mkdir(parents=True)
         args = [a.format(out=dirs[name], **dirs) for a in argv]
-        start = time.perf_counter()
-        res = subprocess.run([sys.executable, *args, "--seed", SEED], cwd=tree,
-                             env=env, capture_output=True, text=True)
-        runs[name] = (res.returncode, time.perf_counter() - start)
-        if res.returncode != 0:
-            print(f"{name} in {tree} exited {res.returncode}:\n"
-                  f"{res.stderr[-2000:]}", file=sys.stderr)
+        runs[name] = run_one([sys.executable, *args, "--seed", SEED], tree, env)
     return runs
 
 
@@ -136,15 +152,15 @@ def numeric_change(old: bytes, new: bytes) -> str:
 
 
 def report(rows, runs, changes=None) -> list[str]:
-    """One line per (file, verdict) row, with the wall time on both sides of
-    the command whose directory holds the file, and for a file in
-    ``changes`` (relative path -> text) that text on the next line."""
+    """One line per (file, verdict) row, with the wall time and peak RSS on
+    both sides of the command whose directory holds the file, and for a file
+    in ``changes`` (relative path -> text) that text on the next line."""
     lines = []
     for rel, verdict in rows:
         name = rel.split("/")[0]
-        base, work = runs["base"][name][1], runs["work"][name][1]
-        lines.append(f"{verdict:>20}  {rel}  (base {base:.2f} s, "
-                     f"work tree {work:.2f} s)")
+        (_, bt, bm), (_, wt, wm) = runs["base"][name], runs["work"][name]
+        lines.append(f"{verdict:>20}  {rel}  (base {bt:.2f} s {bm:.1f} MB, "
+                     f"work tree {wt:.2f} s {wm:.1f} MB)")
         if changes and rel in changes:
             lines.append(f"{'':>20}  {changes[rel]}")
     return lines
