@@ -72,14 +72,15 @@ def ray_integrals(f: ScalarField, x, scale, kernel, tail: float, mass: float,
     sum_j w_j I_ij, an (m,) array, or with ``moment`` sum_j w_j d_j I_ij, an
     (m, n) array.  |K(t)| decays like t^-tail past t = 64, ``mass`` is the
     integral of K(|w|) over R^n, and ``body`` holds the panel ends, from 0,
-    that resolve K.  A ray stops at its row's truncation radius W (one
-    ``tail_radius`` call for all rows), past which the growth envelope bounds
-    the rest below ``tol``, or for a field with ``far = (R, c)`` where it
-    leaves |z| < R if that comes first; past its stop it adds (c - f0_i)
-    times mass / |S^(n-1)| less its rule's kernel mass.  Its panels end at
-    the ``_radial_breaks`` up to the largest W and at its crossings of the
-    ``f.kink_radii`` spheres, capped at its stop (``_ray_panels``), each with
-    its own RADIAL_NODES-node Gauss rule.  Each ray sums its panels in order
+    that resolve K.  For a field with ``far = (R, c)`` a ray stops where it
+    leaves |z| < R, by W_i = (R + |x_i|)/h_i, and past its stop adds
+    (c - f0_i) times mass / |S^(n-1)| less its rule's kernel mass.  Other
+    rows, and those whose W_i would pass 1e18, stop at the truncation radius
+    W_i of one ``tail_radius`` call, past which the growth envelope bounds
+    the rest below ``tol``.  A ray's panels end at the ``_radial_breaks`` up
+    to the largest W and at its crossings of the ``f.kink_radii`` spheres,
+    capped at its stop (``_ray_panels``), each with its own
+    RADIAL_NODES-node Gauss rule.  Each ray sums its panels in order
     and each row its rays, so a row's value does not depend on the others.
     """
     n = f.n
@@ -89,17 +90,26 @@ def ray_integrals(f: ScalarField, x, scale, kernel, tail: float, mass: float,
     dirs, ang_w = angular_rule(n, DIRECTIONS)
     D = len(dirs)
 
-    # |K(t)| <= coef t^-tail; t^tail K(t) has settled by t = 1e18
-    coef = abs(kernel(1e18)) * 1e18 ** tail
     surf = sphere_area(n)
-    # the truncation radius of each row, from the kernel's bound and
-    # |f - f0| <= envelope(|x|) + |f0| + scale (h t)^degree; the panel ends
-    # run to the largest and cap at each ray's own stop
-    terms = [(coef * surf * (f.envelope(np.linalg.norm(pts, axis=1)) + np.abs(f0)),
-              n - tail)]
-    if f.degree > 0:
-        terms.append((coef * surf * f.scale * h ** f.degree, n - tail + f.degree))
-    W = tail_radius(terms, 64.0, tol)
+    norm = np.linalg.norm(pts, axis=1)
+    W = np.full(len(pts), np.inf)
+    if f.far is not None:
+        # a far field's rays have all left |z| < R by t = (R + |x|)/h
+        reach = f.far[0] + norm
+        np.divide(reach, h, out=W, where=reach / 1e18 <= h)
+    tail_rows = W == np.inf
+    if tail_rows.any():
+        # the truncation radius from the kernel's bound |K(t)| <= coef t^-tail
+        # (t^tail K(t) has settled by t = 1e18) and |f - f0| <=
+        # envelope(|x|) + |f0| + scale (h t)^degree
+        coef = abs(kernel(1e18)) * 1e18 ** tail
+        terms = [(coef * surf * (f.envelope(norm[tail_rows])
+                                 + np.abs(f0[tail_rows])), n - tail)]
+        if f.degree > 0:
+            terms.append((coef * surf * f.scale * h[tail_rows] ** f.degree,
+                          n - tail + f.degree))
+        W[tail_rows] = tail_radius(terms, 64.0, tol)
+    # the panel ends run to the largest W and cap at each ray's own stop
     ends = _radial_breaks(float(W.max(initial=0.0)), body)
     g_t, g_w = gauss_legendre(RADIAL_NODES, (-1.0, 1.0))
 
@@ -155,8 +165,9 @@ def ray_integrals(f: ScalarField, x, scale, kernel, tail: float, mass: float,
         if f.far is not None:
             total += (c - fr) * (mass / surf - np.bincount(ray, masses, stop.size))
         parts = total.reshape(-1, D) * ang_w
-        # each row its own product: (rows, D) @ (D, n) rounds differently
-        out[rows] = [part @ dirs for part in parts] if moment else parts.sum(axis=1)
+        # einsum sums each row alone, as a one-row call does; BLAS's
+        # (rows, D) @ (D, n) rounds some rows differently
+        out[rows] = np.einsum("rd,dk->rk", parts, dirs) if moment else parts.sum(axis=1)
     return out
 
 

@@ -77,15 +77,17 @@ DIRECT_ANGULAR = 160        # directions of phi_direct's angular rule (n = 2)
 MAXIMAL_RESOLUTION = 64     # ball quadrature of the maximal-domination check
 
 
-def _y_rule(a: float, panels: int, per: int):
-    """Nodes/weights for int_0^{3/4} y^a F(y) dy on dyadic panels toward 0.
+def _weighted_panels(a: float, breaks, first: int, rest: int):
+    """Nodes/weights for int_0^{breaks[-1]} t^a F(t) dt.
 
-    Returns (nodes, weights, eps): the remainder on [0, eps) is handled
-    analytically by the caller using F(0).
+    The ``first``-node Gauss-Jacobi rule takes the weight on (0, breaks[0])
+    exactly, and the ``rest``-node Gauss-Legendre rule times t^a takes each
+    panel between ``breaks``.
     """
-    breaks = SUPPORT_HI * 2.0 ** -np.arange(panels, -1.0, -1.0)
-    nodes, weights = gauss_legendre(per, breaks)
-    return nodes, weights * nodes ** a, breaks[0]
+    t_first, w_first = gauss_jacobi(first, a, breaks[0])
+    t_rest, w_rest = gauss_legendre(rest, breaks)
+    return (np.concatenate([t_first, t_rest]),
+            np.concatenate([w_first, w_rest * t_rest ** a]))
 
 
 def _radial_panels(lo: float, hi: float, h: float, per: int):
@@ -126,10 +128,7 @@ def _radial_profile(profile: BumpProfile, C: float, rho: float):
     ends = (abs(rho - SUPPORT_LO), abs(rho - SUPPORT_HI),
             rho + SUPPORT_LO, rho + SUPPORT_HI)
     breaks = sorted({e for e in ends if e > 0.0})
-    d_first, w_first = gauss_jacobi(D_JACOBI, a, breaks[0])
-    d_rest, w_rest = gauss_legendre(D_NODES, breaks)
-    d = np.concatenate([d_first, d_rest])
-    w = np.concatenate([w_first, w_rest * d_rest ** a])
+    d, w = _weighted_panels(a, breaks, D_JACOBI, D_NODES)
 
     theta, w_theta = gauss_legendre(R_NODES, (0.0, math.pi))
     lo = np.maximum(np.abs(rho - d), SUPPORT_LO)
@@ -239,17 +238,16 @@ def phi_direct(profile: BumpProfile, x) -> float:
     n, a = profile.n, profile.a
     C = poisson_constant(n, a)
     x = np.asarray(x, dtype=float).reshape(-1)
-    ynodes, yweights, eps = _y_rule(a, 16, 16)
+    # 15 dyadic panels toward y = 0 and the Jacobi panel below them
+    ynodes, yweights = _weighted_panels(
+        a, SUPPORT_HI * 2.0 ** -np.arange(15.0, -1.0, -1.0), 16, 16)
     m = 0.5 * (n + 1.0 - a)
     rho = float(np.linalg.norm(x))
     dirs, ang_w = angular_rule(n, DIRECT_ANGULAR)
 
     acc = 0.0
     for y, wy in zip(ynodes, yweights):
-        s2 = SUPPORT_HI ** 2 - y * y
-        if s2 <= 0.0:
-            continue
-        s_y = math.sqrt(s2)
+        s_y = math.sqrt(SUPPORT_HI ** 2 - y * y)
         lo, hi = max(0.0, rho - s_y), rho + s_y
         u, wu = _radial_panels(lo, hi, y, 10)
         pker = C * y ** (1.0 - a) * (u * u + y * y) ** -m
@@ -257,8 +255,7 @@ def phi_direct(profile: BumpProfile, x) -> float:
         R = np.sqrt((z ** 2).sum(axis=2) + y * y)
         vals = eta_raw(R).sum(axis=1) * ang_w[0]  # the weights are equal
         acc += wy * float((wu * u ** (n - 1) * pker) @ vals)
-    rem = eps ** (1.0 + a) / (1.0 + a)
-    return 2.0 * profile.kappa * (acc + rem * eta_raw(rho))
+    return 2.0 * profile.kappa * acc
 
 
 class _CubicSpline:
@@ -470,7 +467,8 @@ def extension_mean_value(profile: BumpProfile, v, x, r):
     evaluates v; on v = 1 it meets unit mass to about 1e-12.  ``x`` is one
     point or an (m, n) array of rows, ``r`` one radius or m radii, one per
     row; a point returns a float and rows an (m,) array.  v is called once,
-    with the nodes of every row.
+    with the nodes of every row where phi_r is nonzero (eta underflows to 0
+    at the outermost radius of the rule at each end).
     """
     n, a = profile.n, profile.a
     rows = np.reshape(np.asarray(x, dtype=float), (-1, n))
@@ -482,8 +480,11 @@ def extension_mean_value(profile: BumpProfile, v, x, r):
     def integrand(Z):
         k = len(Z) // len(X0)  # the nodes come row by row, k per row
         center = np.repeat(X0, k, axis=0)
-        return np.repeat(scale, k) * profile.phi(
-            (center - Z) / np.repeat(r, k)[:, None]) * np.asarray(v(Z))
+        out = np.repeat(scale, k) * profile.phi(
+            (center - Z) / np.repeat(r, k)[:, None])
+        live = out != 0.0
+        out[live] *= np.asarray(v(Z[live]))
+        return out
 
     out = integrate_ball_weighted(integrand, X0, r, a)
     return float(out[0]) if np.ndim(x) < 2 else out
@@ -534,16 +535,14 @@ def verify_kernel_properties(table: RadialKernelTable, fields) -> PropertyReport
     profile = table.profile
     checks = []
 
-    # (a) rotational symmetry, via absolute-coordinate quadrature
-    rho0 = 0.5
-    if n == 1:
-        va = phi_direct(profile, np.array([rho0]))
-        vb = phi_direct(profile, np.array([-rho0]))
-    else:
-        va = phi_direct(profile, rho0 * np.array([1.0, 0.0]))
-        ang = 0.576
-        vb = phi_direct(profile, rho0 * np.array([math.cos(ang), math.sin(ang)]))
-    diff = abs(va - vb) / abs(va)
+    # (a) the table against phi_direct's absolute coordinates, at the node
+    # nearest 1/2 in two directions, so a broken symmetry fails it too
+    i = int(np.argmin(np.abs(table.rho_grid - 0.5)))
+    angles = (0.0, math.pi) if n == 1 else (0.0, 0.576)
+    direct = np.array([phi_direct(profile, table.rho_grid[i] * np.array(
+        [math.cos(t), math.sin(t)][:n])) for t in angles])
+    phi = table.phi_values[i]
+    diff = float(np.max(np.abs(direct - phi) / abs(phi)))
     checks.append(PropertyCheck("radial_symmetry", diff <= 1e-8, diff, 1e-8))
 
     # (b) boundedness of (1+rho)^{n+1-a} |Phi|

@@ -174,11 +174,28 @@ class TestExtensionCommand:
         assert "extension check FAILED" in capsys.readouterr().out
 
     def test_one_engine_call_per_field(self, tmp_path, engine_calls):
-        # constant and ball_poisson: 3 points x 3 radii x 1,024 nodes, whose
-        # mirror images (z, -y) fold onto one extend row each
+        # constant and ball_poisson: 3 points x 3 radii x 1,024 nodes, less
+        # the 64 of each average on the shell rule's first and last radius,
+        # where phi_r is 0; the mirror images (z, -y) of the rest fold onto
+        # one extend row each
         assert main(["extension", "--n", "1", "--a", "0.5", "--out",
                      str(tmp_path)]) == 0
-        assert [len(rows) for rows in engine_calls] == [4608, 4608]
+        assert [len(rows) for rows in engine_calls] == [4320, 4320]
+
+
+@pytest.mark.parametrize("command", ["kernel verify", "mvp", "extension"])
+def test_far_fields_need_no_tail_bound(command, tmp_path, get_table):
+    # constant and ball_poisson declare a far field, so their rays stop where
+    # it begins; at a = 0.9 the tail bound, had they taken one, would stay
+    # above tol at W = 1e18 (1.3e-2 against 1e-4 on the kernel's rays, 2.9e-2
+    # against 1e-8 on the extension's), and each command would exit 1
+    if command == "extension":
+        args = ["extension", "--n", "1", "--a", "0.9"]
+    else:
+        path = tmp_path / "kernel.txt"
+        write_table(get_table(1, 0.9), path)
+        args = [*command.split(), "--table", str(path)]
+    assert main([*args, "--out", str(tmp_path)]) == 0
 
 
 class TestRegularityCommand:

@@ -71,16 +71,18 @@ class TestTableStructure:
     @pytest.mark.parametrize("n", [1, 2])
     def test_table_matches_phi_direct(self, get_table, n):
         # phi_direct keeps the vector geometry of the defining double
-        # integral, so it checks the distance form independently; beyond
-        # rho = 1 its own angular rule drifts (n = 2: 2.5e-7 at rho = 1.5,
-        # 8e-6 at 1.93), so the nodes stop at 0.8125
-        t = get_table(n, 0.0)
-        for i in (0, 16, 32, 48, 64, 80, 96, 104):
-            rho = t.rho_grid[i]
+        # integral, so it checks the distance form independently: at most
+        # 3.9e-9 (n = 1) and 8.6e-10 (n = 2) apart over these nodes and
+        # |a| <= 0.99; beyond rho = 1 its own angular rule drifts (n = 2:
+        # 2.5e-7 at rho = 1.5, 8e-6 at 1.93), so the nodes stop at 0.8125
+        cases = [(0.0, i) for i in (0, 16, 32, 48, 64, 80, 96, 104)]
+        cases += [(a, 64) for a in (-0.99, -0.5, 0.5, 0.99)]  # rho = 0.5
+        for a, i in cases:
+            t = get_table(n, a)
             x = np.zeros(n)
-            x[0] = rho
+            x[0] = t.rho_grid[i]
             assert_allclose(t.phi_values[i], phi_direct(t.profile, x),
-                            rtol=5e-8, err_msg=f"rho={rho}")
+                            rtol=1e-8, err_msg=f"a={a}, rho={x[0]}")
 
     def test_tail_extension_continuous_at_grid_edge(self, table_n1_a0, get_table):
         # the spline meets the exterior series at rmax to rounding: 1e-15
@@ -408,6 +410,20 @@ class TestRows:
 
 
 class TestPropertyReport:
+    def test_radial_symmetry_fails_a_node_off_by_1e7(self, table_n1_a0):
+        # the table's node at rho = 0.5 against phi_direct at +-0.5: 1.0e-9
+        # apart, and 9.9e-8 once the node is scaled by 1 + 1e-7
+        t = table_n1_a0
+        assert t.rho_grid[64] == 0.5
+        phi = t.phi_values.copy()
+        phi[64] *= 1.0 + 1e-7
+        for table, passed in ((t, True),
+                              (dataclasses.replace(t, phi_values=phi), False)):
+            row, = [c for c in verify_kernel_properties(table, []).checks
+                    if c.name == "radial_symmetry"]
+            assert row.passed is passed
+        assert 9e-8 < row.measured < 1.1e-7
+
     def test_unit_mass_fails_with_the_power_law_tail(self, get_table, monkeypatch):
         # the tail the series replaced, Phi(rmax) (rho/rmax)^-(n+1-a), leaves
         # a mass residual of 1.1e-5 at n = 1, a = 0.5
