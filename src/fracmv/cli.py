@@ -26,12 +26,6 @@ from .kernel import (DEFAULT_GRID, RadialKernelTable, build_table,
                      extension_mean_value, phi_r_convolve, read_table,
                      verify_kernel_properties, write_table)
 
-EXIT_OK = 0
-EXIT_TOLERANCE = 1
-EXIT_USAGE = 2
-EXIT_MISMATCH = 3
-EXIT_IO = 4
-
 DEFAULT_TOLERANCES = {
     "mvp": 5e-4,
     "extension": 5e-4,
@@ -41,6 +35,11 @@ DEFAULT_TOLERANCES = {
 
 class UsageError(Exception):
     pass
+
+
+# each failure's exit code; the first kind that matches wins
+EXIT_CODES = ((UsageError, 2), (TableMismatchError, 3), (OSError, 4),
+              (FracmvError, 1))
 
 
 @dataclass
@@ -201,40 +200,18 @@ def _default_table_path(cfg: RunConfig) -> Path:
     return Path(cfg.out) / f"kernel_n{p.n}_a{p.a:+.3f}.txt"
 
 
-def _write_report(cfg: RunConfig, name: str, text: str) -> Path:
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / name
-    path.write_text(text)
-    return path
+def _integrable_fields(cfg: RunConfig, params: Params):
+    """(name, field) for each configured field whose degree is below 2s.
 
-
-def cmd_kernel_build(cfg: RunConfig) -> int:
-    params = cfg.params
-    start = time.time()
-    table = build_table(params, cfg.grid or None)
-    path = Path(cfg.table) if cfg.table else _default_table_path(cfg)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_table(table, path)
-    elapsed = time.time() - start
-    print(f"wrote {path}")
-    print(f"mass residual {table.build_meta['mass_residual']:.3e}, "
-          f"build time {elapsed:.1f}s")
-    return EXIT_OK
-
-
-def cmd_kernel_verify(cfg: RunConfig) -> int:
-    table = _load_table(cfg)
-    fields = [f for _, f in _make_fields(cfg.fields, table.params, cfg.seed)]
-    report = verify_kernel_properties(table, fields=fields)
-    lines = ["property,status,measured,threshold,detail"]
-    for name, status, measured, threshold, detail in report.rows():
-        lines.append(f"{name},{status},{measured},{threshold},{detail}")
-        print(f"{name:32s} {status:4s} measured={measured} "
-              f"threshold={threshold}")
-    path = _write_report(cfg, "kernel_properties.csv", "\n".join(lines) + "\n")
-    print(f"report: {path}")
-    return EXIT_OK if report.passed else EXIT_TOLERANCE
+    The tails of Phi and of the extension kernel decay like |x|^-(n+2s), so
+    each other field is skipped with a line that says so.
+    """
+    for name, f in _make_fields(cfg.fields, params, cfg.seed):
+        if f.degree < 2.0 * params.s:
+            yield name, f
+        else:
+            print(f"skipping {name}: degree {f.degree} not integrable "
+                  f"at s={params.s}")
 
 
 def _interior_points(n: int, count: int = 5) -> np.ndarray:
@@ -246,26 +223,64 @@ def _interior_points(n: int, count: int = 5) -> np.ndarray:
     return pts[:count]
 
 
-def _integrable(name: str, f, s: float) -> bool:
-    # the tails of Phi and of the extension kernel decay like |x|^-(n+2s)
-    if f.degree >= 2.0 * s:
-        print(f"skipping {name}: degree {f.degree} not integrable at s={s}")
-    return f.degree < 2.0 * s
+def _sample(n: int, count: int, fractions=()):
+    """The unit ball, ``count`` of its interior points, and one row of radii
+    q·δ(x) per point x, one radius for each fraction q."""
+    domain = Domain.ball(np.zeros(n), 1.0)
+    pts = _interior_points(n, count)
+    radii = np.array([[q * domain.distance_to_boundary(x) for q in fractions]
+                      for x in pts])
+    return domain, pts, radii
+
+
+def _finish(cfg: RunConfig, name: str, text: str, failed: bool,
+            verdict: str = "") -> int:
+    """Write the report ``name``, print its path after ``verdict`` and
+    return the command's exit code."""
+    outdir = Path(cfg.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    path = outdir / name
+    path.write_text(text)
+    print(f"{verdict}; report: {path}" if verdict else f"report: {path}")
+    return 1 if failed else 0
+
+
+def cmd_kernel_build(cfg: RunConfig) -> int:
+    params = cfg.params
+    start = time.perf_counter()
+    table = build_table(params, cfg.grid or None)
+    path = Path(cfg.table) if cfg.table else _default_table_path(cfg)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_table(table, path)
+    elapsed = time.perf_counter() - start
+    print(f"wrote {path}")
+    print(f"mass residual {table.build_meta['mass_residual']:.3e}, "
+          f"build time {elapsed:.1f}s")
+    return 0
+
+
+def cmd_kernel_verify(cfg: RunConfig) -> int:
+    table = _load_table(cfg)
+    fields = [f for _, f in _integrable_fields(cfg, table.params)]
+    report = verify_kernel_properties(table, fields=fields)
+    lines = ["property,status,measured,threshold,detail"]
+    for name, status, measured, threshold, detail in report.rows():
+        lines.append(f"{name},{status},{measured},{threshold},{detail}")
+        print(f"{name:32s} {status:4s} measured={measured} "
+              f"threshold={threshold}")
+    return _finish(cfg, "kernel_properties.csv", "\n".join(lines) + "\n",
+                   not report.passed)
 
 
 def cmd_mvp(cfg: RunConfig) -> int:
     table = _load_table(cfg)
     params = table.params
     tol = cfg.tol("mvp")
-    domain = Domain.ball(np.zeros(params.n), 1.0)
+    _, pts, radii = _sample(params.n, 5, (0.25, 0.5))
     rows = ["field_id,x,r,residual,allowed"]
     ratios = []
     failed = False
-    for name, f in _make_fields(cfg.fields, params, cfg.seed):
-        if not _integrable(name, f, params.s):
-            continue
-        pts = _interior_points(params.n)
-        radii = [(d / 4.0, d / 2.0) for d in map(domain.distance_to_boundary, pts)]
+    for name, f in _integrable_fields(cfg, params):
         values = phi_r_convolve(table, f, np.repeat(pts, 2, axis=0), np.ravel(radii),
                                 tol=tol / 10.0).reshape(-1, 2)
         for x, rs, vals in zip(pts, radii, values):
@@ -277,11 +292,10 @@ def cmd_mvp(cfg: RunConfig) -> int:
                 failed = failed or not residual <= allowed
                 xs = ";".join(f"{c:.6g}" for c in np.atleast_1d(x))
                 rows.append(f"{name},{xs},{r:.6g},{residual:.6e},{allowed:.6e}")
-    path = _write_report(cfg, "mean_value.csv", "\n".join(rows) + "\n")
     # np.max shows a NaN ratio, where max(0.0, nan) would show 0.0
-    print(f"mean value residuals: worst {np.max(ratios, initial=0.0):.3f} of "
-          f"allowance; report: {path}")
-    return EXIT_TOLERANCE if failed else EXIT_OK
+    return _finish(cfg, "mean_value.csv", "\n".join(rows) + "\n", failed,
+                   f"mean value residuals: worst "
+                   f"{np.max(ratios, initial=0.0):.3f} of allowance")
 
 
 def cmd_extension(cfg: RunConfig) -> int:
@@ -289,15 +303,10 @@ def cmd_extension(cfg: RunConfig) -> int:
     tol = cfg.tol("extension")
     ctol = cfg.tol("constancy")
     profile = normalize(params.n, params.a)
-    domain = Domain.ball(np.zeros(params.n), 1.0)
+    _, pts, radii = _sample(params.n, 3, (0.1, 0.2, 0.4))
     rows = ["field_id,x,r,value,residual,kind"]
     failed = False
-    pts = _interior_points(params.n, count=3)
-    radii = [[frac * domain.distance_to_boundary(x) for frac in (0.1, 0.2, 0.4)]
-             for x in pts]
-    for name, f in _make_fields(cfg.fields, params, cfg.seed):
-        if not _integrable(name, f, params.s):
-            continue
+    for name, f in _integrable_fields(cfg, params):
         # every shell of the field in one average, so v extends once
         values = extension_mean_value(profile, reflected_extension(params, f),
                                       np.repeat(pts, 3, axis=0),
@@ -312,17 +321,14 @@ def cmd_extension(cfg: RunConfig) -> int:
             spread = vals.max() - vals.min()
             rows.append(f"{name},{xs},nan,{spread:.6e},nan,constancy_spread")
             failed = failed or not spread <= ctol
-    path = _write_report(cfg, "extension_check.csv", "\n".join(rows) + "\n")
-    print(f"extension check {'FAILED' if failed else 'passed'}; "
-          f"report: {path}")
-    return EXIT_TOLERANCE if failed else EXIT_OK
+    return _finish(cfg, "extension_check.csv", "\n".join(rows) + "\n", failed,
+                   f"extension check {'FAILED' if failed else 'passed'}")
 
 
 def cmd_regularity(cfg: RunConfig) -> int:
     table = _load_table(cfg)
     params = table.params
-    domain = Domain.ball(np.zeros(params.n), 1.0)
-    grid = _interior_points(params.n, count=3)
+    domain, grid, _ = _sample(params.n, 3)
     rows = []
     failed = False
     # gradient/sharp ratios of constant and affine fields are degenerate or
@@ -339,10 +345,8 @@ def cmd_regularity(cfg: RunConfig) -> int:
             not maxima[lam, 0.125] <= 4.0 * maxima[lam, 0.5] + 1e-12 for lam in lams)
         rows.append(weighted_gradient_besov_ratio(
             table, f, domain, 0.5, 2.0, field_id=name))
-    path = _write_report(cfg, "regularity.csv", rows_to_csv(rows))
-    print(f"regularity ratios {'FAILED' if failed else 'passed'}; "
-          f"report: {path}")
-    return EXIT_TOLERANCE if failed else EXIT_OK
+    return _finish(cfg, "regularity.csv", rows_to_csv(rows), failed,
+                   f"regularity ratios {'FAILED' if failed else 'passed'}")
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -381,31 +385,17 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
+    # looked up at each call, so a command replaced on the module is the one run
+    commands = {"build": cmd_kernel_build, "verify": cmd_kernel_verify,
+                "mvp": cmd_mvp, "extension": cmd_extension,
+                "regularity": cmd_regularity}
     try:
-        cfg = _build_config(args)
-        if args.command == "kernel":
-            if args.kernel_command == "build":
-                return cmd_kernel_build(cfg)
-            return cmd_kernel_verify(cfg)
-        if args.command == "mvp":
-            return cmd_mvp(cfg)
-        if args.command == "extension":
-            return cmd_extension(cfg)
-        return cmd_regularity(cfg)
-    except UsageError as exc:
+        return commands[getattr(args, "kernel_command", args.command)](
+            _build_config(args))
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TableMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except FracmvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":
