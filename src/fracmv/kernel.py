@@ -528,7 +528,7 @@ def _grad_psi_sup(spline: _CubicSpline) -> float:
 
 
 def verify_kernel_properties(table: RadialKernelTable, fields) -> PropertyReport:
-    """Run the seven structural checks; ``fields`` measure the domination."""
+    """Run the eight structural checks; ``fields`` measure the domination."""
     from .analysis import BallFamily, hl_maximal  # deferred: avoids a cycle
 
     n, a = table.params.n, table.params.a
@@ -545,13 +545,15 @@ def verify_kernel_properties(table: RadialKernelTable, fields) -> PropertyReport
     diff = float(np.max(np.abs(direct - phi) / abs(phi)))
     checks.append(PropertyCheck("radial_symmetry", diff <= 1e-8, diff, 1e-8))
 
-    # (b) boundedness of (1+rho)^{n+1-a} |Phi|
+    # (b) Phi ~ K rho^-p, p = n + 1 - a: rho^p |Phi| changes by 0.950-1.000
+    # from rho = 2 to 4 to 8 on default tables (n = 1, 2, |a| <= 0.99), and by
+    # 1.34-1.41 once Phi is scaled by sqrt(rho/2) past rho = 2
     pts = np.array([2.0, 4.0, 8.0])
-    scaled = (1.0 + pts) ** (n + 1.0 - a) * np.abs(table.phi_of(pts))
+    scaled = pts ** (n + 1.0 - a) * np.abs(table.phi_of(pts))
     ratios = scaled[1:] / scaled[:-1]
-    ok = np.all((ratios >= 0.5) & (ratios <= 2.0)) and np.all(np.isfinite(scaled))
+    ok = np.all((ratios >= 0.8) & (ratios <= 1.25)) and np.all(np.isfinite(scaled))
     checks.append(PropertyCheck("decay_bounded", bool(ok), float(np.max(ratios)),
-                                2.0, detail=f"min_ratio={np.min(ratios):.3f}"))
+                                1.25, detail=f"min_ratio={np.min(ratios):.3f}"))
 
     # (c) unit mass: a default grid meets it to 5e-9 for n = 1, 2 and
     # |a| <= 0.99; a 33-node dense grid misses it (7.5e-7 at n = 1, a = 0)
@@ -576,14 +578,15 @@ def verify_kernel_properties(table: RadialKernelTable, fields) -> PropertyReport
     # (e) Psi vanishes at the origin and has zero integral.  Each Psi^i is
     # odd, so its integral vanishes by symmetry on any symmetric rule; what
     # can fail is the independently computed Phi', so the fundamental
-    # theorem ties it back to Phi itself
+    # theorem ties it back to Phi itself: at most 1.2e-9 on default tables
+    # (n = 1, 2, |a| <= 0.99), and 4.0e-7 with Phi' scaled by 1 + 1e-6
     psi0 = abs(table.psi_profile[0])
     checks.append(PropertyCheck("gradient_zero_at_origin", psi0 <= 1e-6,
                                 psi0, 1e-6))
     ftc = table._psi_spline.integral() \
         - (table.phi_of(table.rmax) - table.phi_of(0.0))
-    checks.append(PropertyCheck("gradient_zero_mean", abs(ftc) <= 1e-4,
-                                abs(ftc), 1e-4,
+    checks.append(PropertyCheck("gradient_zero_mean", abs(ftc) <= 1e-8,
+                                abs(ftc), 1e-8,
                                 detail=f"ftc_residual={ftc:.2e}"))
 
     # (f) tail decay exponent of Psi

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import fracmv.cli
 from fracmv.cli import (DEFAULT_TOLERANCES, RunConfig, UsageError,
                         _build_config, _make_parser, main)
-from fracmv.errors import TableMismatchError
+from fracmv.errors import TableMismatchError, ToleranceError
 from fracmv.kernel import DEFAULT_GRID, read_table, write_table
 from oracles import first_moment
 
@@ -115,6 +115,18 @@ class TestKernelVerify:
         assert report[0] == "property,status,measured,threshold,detail"
         assert len(report) >= 8
         assert all(",fail," not in line for line in report[1:])
+
+    def test_skips_a_field_not_integrable(self, get_table, tmp_path, capsys):
+        # at s = 0.25 the affine field's tail diverges, and verify skips it
+        # with mvp's line rather than exiting 1 with no report
+        path = tmp_path / "kernel_n1_s0.25.txt"
+        write_table(get_table(1, 0.5), path)
+        code = main(["kernel", "verify", "--table", str(path), "--out",
+                     str(tmp_path), "--fields", "constant,affine"])
+        assert code == 0
+        assert "skipping affine: degree 1 not integrable at s=0.25\n" \
+            in capsys.readouterr().out
+        assert (tmp_path / "kernel_properties.csv").exists()
 
     def test_verify_detects_parameter_mismatch(self, table_file):
         code = main(["kernel", "verify", "--table", table_file, "--a", "0.5"])
@@ -348,6 +360,19 @@ class TestUsageErrors:
         # with a given and n not, the table's n is taken, not a default of 1
         assert main(["mvp", "--table", table_file_n2, "--a", "0.0",
                      "--fields", "constant", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("error, code", [
+    (UsageError("bad flag"), 2), (TableMismatchError("other table"), 3),
+    (OSError("no such file"), 4), (ToleranceError("tail", 1.0, 0.5), 1)])
+def test_exit_code_and_one_error_line(monkeypatch, capsys, error, code):
+    def fail(cfg):
+        raise error
+
+    monkeypatch.setattr(fracmv.cli, "cmd_mvp", fail)
+    assert main(["mvp"]) == code
+    err = capsys.readouterr().err
+    assert err == f"error: {error}\n"
 
 
 class TestIOErrors:

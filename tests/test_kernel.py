@@ -434,6 +434,33 @@ class TestPropertyReport:
                 if c.name == "unit_mass"]
         assert not row.passed and row.measured > 1e-6
 
+    @pytest.mark.parametrize("a", [-0.9, -0.99])
+    def test_decay_bounded_passes_low_a_at_n2(self, get_table, a):
+        # (1+rho)^p |Phi| with p = 3.9 or 3.99 read min ratios 0.468 and 0.459
+        # against 0.5; rho^p |Phi| reads 0.954 and 0.950 against 0.8
+        report = verify_kernel_properties(get_table(2, a), [])
+        row, = [c for c in report.checks if c.name == "decay_bounded"]
+        assert row.passed and report.passed
+
+    def test_decay_bounded_fails_a_tail_scaled_by_sqrt_rho(self, table_n1_a0):
+        # Phi * sqrt(rho/2) past rho = 2 decays like rho^-(p - 1/2): ratios
+        # 1.391 and 1.408, where (1+rho)^p read 0.966 and 1.141 inside [0.5, 2]
+        t = dataclasses.replace(table_n1_a0)
+        t.phi_of = lambda rho, phi_of=table_n1_a0.phi_of: \
+            phi_of(rho) * np.sqrt(np.maximum(np.asarray(rho) / 2.0, 1.0))
+        row, = [c for c in verify_kernel_properties(t, []).checks
+                if c.name == "decay_bounded"]
+        assert not row.passed and 1.35 < row.measured < 1.45
+
+    def test_gradient_zero_mean_fails_a_derivative_off_by_1e6(self, table_n1_a0):
+        # the Phi' spline scaled by 1 + 1e-6 misses Phi(rmax) - Phi(0) by
+        # 4.0e-7, above 1e-8 and far below the old 1e-4
+        t = dataclasses.replace(table_n1_a0,
+                                psi_profile=table_n1_a0.psi_profile * (1.0 + 1e-6))
+        row, = [c for c in verify_kernel_properties(t, []).checks
+                if c.name == "gradient_zero_mean"]
+        assert not row.passed and 3e-7 < row.measured < 5e-7
+
     def test_full_report_passes(self, table_n1_a0):
         report = verify_kernel_properties(table_n1_a0,
                                           _domination_fields(table_n1_a0))

@@ -132,17 +132,18 @@ def test_cli_import_loads_no_scipy():
 
 def test_build_and_regularity_load_no_numpy_ma(tmp_path):
     # numpy.ma cost 15.5-17 ms of each process's start-up; np.unique and
-    # np.median import it, and no command needs either
-    (tmp_path / "coarse.cfg").write_text(
-        "grid.dense_points = 33\ngrid.geo_points = 16\n")
+    # np.median import it, and no command needs either.  The table has the
+    # default grid, since a coarse one fails kernel verify's unit_mass
     table = tmp_path / "table.txt"
     code = ("import sys; from fracmv.cli import main; "
             "code = main(sys.argv[1:]); "
             "print(code, 'numpy.ma' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    for argv in (["kernel", "build", "--n", "1", "--a", "0.0",
-                  "--config", str(tmp_path / "coarse.cfg"), "--table", str(table)],
-                 ["regularity", "--table", str(table), "--out", str(tmp_path)]):
+    read = ["--table", str(table), "--out", str(tmp_path)]
+    for argv in (["kernel", "build", "--n", "1", "--a", "0.0", "--table", str(table)],
+                 ["kernel", "verify", *read], ["mvp", *read],
+                 ["extension", "--n", "1", "--a", "0.0", "--out", str(tmp_path)],
+                 ["regularity", *read]):
         out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                              check=True, capture_output=True, text=True).stdout
         assert out.splitlines()[-1] == "0 False", argv
