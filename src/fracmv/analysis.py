@@ -236,8 +236,6 @@ def gradient_sharp_ratio(table: RadialKernelTable, f: ScalarField,
 @dataclass(frozen=True)
 class BesovResult:
     value: float
-    shell_sums: tuple
-    divergent: bool
 
 
 def besov_seminorm(f: ScalarField, lam: float, p: float, window: float,
@@ -247,9 +245,7 @@ def besov_seminorm(f: ScalarField, lam: float, p: float, window: float,
 
     Integrates |f(x+h)-f(x)|^p / |h|^(n+lambda p) for |h| <= window and
     x in [-half_width, half_width]^n, with dyadic shells in |h| refined
-    toward 0.  If the last three shell sums fail to decay (ratio >= 0.99)
-    the inner integral is flagged as divergent; the truncated value is
-    still reported.
+    toward 0.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
@@ -272,13 +268,7 @@ def besov_seminorm(f: ScalarField, lam: float, p: float, window: float,
                 total += wa * wr * radius ** (n - 1) \
                     * radius ** (-(n + lam * p)) * inner
         shell_sums.append(total)
-
-    ratios = [shell_sums[i + 1] / shell_sums[i]
-              for i in range(len(shell_sums) - 3, len(shell_sums) - 1)
-              if shell_sums[i] > 0.0]
-    divergent = len(ratios) == 2 and all(q >= 0.99 for q in ratios)
-    return BesovResult(float(sum(shell_sums)) ** (1.0 / p),
-                       tuple(shell_sums), divergent)
+    return BesovResult(float(sum(shell_sums)) ** (1.0 / p))
 
 
 def _lp_norm(f: ScalarField, p: float, half_width: float, grid: int) -> float:

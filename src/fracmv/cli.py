@@ -200,18 +200,25 @@ def _default_table_path(cfg: RunConfig) -> Path:
     return Path(cfg.out) / f"kernel_n{p.n}_a{p.a:+.3f}.txt"
 
 
-def _integrable_fields(cfg: RunConfig, params: Params):
-    """(name, field) for each configured field whose degree is below 2s.
+def _selected_fields(cfg: RunConfig, params: Params, leave_out=()) -> list:
+    """(name, field) for each configured field not named in ``leave_out``
+    whose degree is below 2s.
 
     The tails of Phi and of the extension kernel decay like |x|^-(n+2s), so
-    each other field is skipped with a line that says so.
+    each other field is skipped with a line that says so.  A command left
+    with no field to check is a usage error.
     """
-    for name, f in _make_fields(cfg.fields, params, cfg.seed):
+    selected = []
+    for name, f in _make_fields([name for name in cfg.fields
+                                 if name not in leave_out], params, cfg.seed):
         if f.degree < 2.0 * params.s:
-            yield name, f
+            selected.append((name, f))
         else:
             print(f"skipping {name}: degree {f.degree} not integrable "
                   f"at s={params.s}")
+    if not selected:
+        raise UsageError(f"no field of {','.join(cfg.fields)} is left to check")
+    return selected
 
 
 def _interior_points(n: int, count: int = 5) -> np.ndarray:
@@ -261,7 +268,7 @@ def cmd_kernel_build(cfg: RunConfig) -> int:
 
 def cmd_kernel_verify(cfg: RunConfig) -> int:
     table = _load_table(cfg)
-    fields = [f for _, f in _integrable_fields(cfg, table.params)]
+    fields = [f for _, f in _selected_fields(cfg, table.params)]
     report = verify_kernel_properties(table, fields=fields)
     lines = ["property,status,measured,threshold,detail"]
     for name, status, measured, threshold, detail in report.rows():
@@ -280,7 +287,7 @@ def cmd_mvp(cfg: RunConfig) -> int:
     rows = ["field_id,x,r,residual,allowed"]
     ratios = []
     failed = False
-    for name, f in _integrable_fields(cfg, params):
+    for name, f in _selected_fields(cfg, params):
         values = phi_r_convolve(table, f, np.repeat(pts, 2, axis=0), np.ravel(radii),
                                 tol=tol / 10.0).reshape(-1, 2)
         for x, rs, vals in zip(pts, radii, values):
@@ -306,7 +313,7 @@ def cmd_extension(cfg: RunConfig) -> int:
     _, pts, radii = _sample(params.n, 3, (0.1, 0.2, 0.4))
     rows = ["field_id,x,r,value,residual,kind"]
     failed = False
-    for name, f in _integrable_fields(cfg, params):
+    for name, f in _selected_fields(cfg, params):
         # every shell of the field in one average, so v extends once
         values = extension_mean_value(profile, reflected_extension(params, f),
                                       np.repeat(pts, 3, axis=0),
@@ -331,11 +338,10 @@ def cmd_regularity(cfg: RunConfig) -> int:
     domain, grid, _ = _sample(params.n, 3)
     rows = []
     failed = False
+    lams = (0.3, 0.5)
     # gradient/sharp ratios of constant and affine fields are degenerate or
     # trivial
-    names = [name for name in cfg.fields if name not in ("constant", "affine")]
-    lams = (0.3, 0.5)
-    for name, f in _make_fields(names, params, cfg.seed):
+    for name, f in _selected_fields(cfg, params, ("constant", "affine")):
         sub = gradient_sharp_ratio(table, f, domain, lams, grid,
                                    (0.5, 0.25, 0.125), field_id=name)
         rows.extend(sub)

@@ -113,7 +113,7 @@ class TestKernelVerify:
         assert code == 0
         report = (tmp_path / "kernel_properties.csv").read_text().splitlines()
         assert report[0] == "property,status,measured,threshold,detail"
-        assert len(report) >= 8
+        assert len(report) == 7
         assert all(",fail," not in line for line in report[1:])
 
     def test_skips_a_field_not_integrable(self, get_table, tmp_path, capsys):
@@ -169,15 +169,14 @@ class TestMeanValueCommand:
 
 class TestExtensionCommand:
     def test_affine_skipped_when_not_integrable(self, tmp_path, capsys):
-        # the same line as mvp prints, and a report with no rows
+        # the same line as mvp prints, and rows of the constant alone
         code = main(["extension", "--n", "1", "--a", "0.5", "--out",
-                     str(tmp_path), "--fields", "affine"])
+                     str(tmp_path), "--fields", "constant,affine"])
         assert code == 0
         out = capsys.readouterr().out
         assert "skipping affine: degree 1 not integrable at s=0.25\n" in out
-        csv = (tmp_path / "extension_check.csv").read_text()
-        assert csv == "field_id,x,r,value,residual,kind\n"
-
+        rows = (tmp_path / "extension_check.csv").read_text().splitlines()
+        assert len(rows) == 13 and all(r.startswith("constant,") for r in rows[1:])
 
     def test_a_nan_residual_fails(self, tmp_path, monkeypatch, capsys):
         _nan_at(monkeypatch, [-0.62])
@@ -208,6 +207,26 @@ def test_far_fields_need_no_tail_bound(command, tmp_path, get_table):
         write_table(get_table(1, 0.9), path)
         args = [*command.split(), "--table", str(path)]
     assert main([*args, "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("command", [
+    "kernel verify --fields affine", "mvp --fields affine",
+    "extension --n 1 --a 0.5 --fields affine",
+    "regularity --fields constant,affine"])
+def test_no_field_left_to_check_exits_2(command, tmp_path, get_table, capsys):
+    # at s = 0.25 affine is skipped as not integrable, and regularity leaves
+    # out constant and affine; each command exited 0 here with a row that
+    # read 0, a worst of 0.000 or a report with no rows
+    argv = command.split()
+    if argv[0] != "extension":
+        path = tmp_path / "kernel_n1_s0.25.txt"
+        write_table(get_table(1, 0.5), path)
+        argv += ["--table", str(path)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no field of ") and err.count("\n") == 1
+    assert not out.exists()  # no report was written
 
 
 class TestRegularityCommand:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from fracmv.kernel import (DEFAULT_GRID, _CubicSpline, _exterior_series,
                            gradient_of_solution, phi_direct, phi_r_convolve,
                            read_table, verify_kernel_properties, write_table)
 from fracmv.quadrature import gauss_legendre
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestTableStructure:
@@ -434,23 +437,42 @@ class TestPropertyReport:
                 if c.name == "unit_mass"]
         assert not row.passed and row.measured > 1e-6
 
-    @pytest.mark.parametrize("a", [-0.9, -0.99])
-    def test_decay_bounded_passes_low_a_at_n2(self, get_table, a):
-        # (1+rho)^p |Phi| with p = 3.9 or 3.99 read min ratios 0.468 and 0.459
-        # against 0.5; rho^p |Phi| reads 0.954 and 0.950 against 0.8
-        report = verify_kernel_properties(get_table(2, a), [])
-        row, = [c for c in report.checks if c.name == "decay_bounded"]
-        assert row.passed and report.passed
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("a", [-0.99, -0.9, -0.5, 0.0, 0.5, 0.9, 0.99])
+    def test_series_seam_passes_on_default_tables(self, get_table, a, n):
+        # the distance form and the exterior series meet on the 31 nodes in
+        # (3/4, 1) to 1.9e-12 (Phi) and 4.2e-11 (Phi'), both worst at n = 2,
+        # a = -0.99, and to 3e-14 at a = 0
+        report = verify_kernel_properties(get_table(n, a), [])
+        row, = [c for c in report.checks if c.name == "series_seam"]
+        assert row.measured < 5e-11 and row.detail == "nodes=31"
+        assert report.passed
 
-    def test_decay_bounded_fails_a_tail_scaled_by_sqrt_rho(self, table_n1_a0):
-        # Phi * sqrt(rho/2) past rho = 2 decays like rho^-(p - 1/2): ratios
-        # 1.391 and 1.408, where (1+rho)^p read 0.966 and 1.141 inside [0.5, 2]
-        t = dataclasses.replace(table_n1_a0)
-        t.phi_of = lambda rho, phi_of=table_n1_a0.phi_of: \
-            phi_of(rho) * np.sqrt(np.maximum(np.asarray(rho) / 2.0, 1.0))
+    def test_series_seam_fails_phi_nodes_off_by_1e8(self, table_n1_a0):
+        t = table_n1_a0
+        phi = t.phi_values.copy()
+        phi[(t.rho_grid > 0.75) & (t.rho_grid < 1.0)] *= 1.0 + 1e-8
+        row, = [c for c in verify_kernel_properties(
+            dataclasses.replace(t, phi_values=phi), []).checks
+            if c.name == "series_seam"]
+        assert not row.passed and 0.9e-8 < row.measured < 1.1e-8
+
+    def test_series_seam_fails_a_series_derivative_off_by_1e6(self, table_n1_a0,
+                                                              monkeypatch):
+        real = fracmv.kernel._ExteriorSeries.dphi
+        monkeypatch.setattr(fracmv.kernel._ExteriorSeries, "dphi",
+                            lambda self, rho: real(self, rho) * (1.0 + 1e-6))
+        row, = [c for c in verify_kernel_properties(table_n1_a0, []).checks
+                if c.name == "series_seam"]
+        assert not row.passed and 0.9e-6 < row.measured < 1.1e-6
+
+    def test_series_seam_reads_nan_with_no_node_in_range(self):
+        # the nodes below 1 are 0, 1/4, 1/2 and 3/4
+        t = build_table(Params(n=1, a=0.0), {"dense_points": 9, "geo_points": 4})
         row, = [c for c in verify_kernel_properties(t, []).checks
-                if c.name == "decay_bounded"]
-        assert not row.passed and 1.35 < row.measured < 1.45
+                if c.name == "series_seam"]
+        assert not row.passed and math.isnan(row.measured)
+        assert row.detail == "nodes=0"
 
     def test_gradient_zero_mean_fails_a_derivative_off_by_1e6(self, table_n1_a0):
         # the Phi' spline scaled by 1 + 1e-6 misses Phi(rmax) - Phi(0) by
@@ -481,10 +503,22 @@ class TestPropertyReport:
         report = verify_kernel_properties(table_n1_a0,
                                           _domination_fields(table_n1_a0))
         rows = list(report.rows())
-        assert len(rows) == len(report.checks) >= 7
+        assert len(rows) == len(report.checks) == 6
         for name, status, measured, threshold, _ in rows:
             assert status in ("pass", "fail")
             float(measured), float(threshold)
+
+    def test_readme_table_names_every_row(self, table_n1_a0):
+        # the README's table of the rows, up to the first line past it
+        lines = README.read_text().splitlines()
+        start = lines.index("| row | what it compares | fails when |")
+        names = []
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            names.append(line.split("|")[1].strip().strip("`"))
+        assert names == [c.name for c in
+                         verify_kernel_properties(table_n1_a0, []).checks]
 
 
 def test_build_table_small_grid_is_consistent():
