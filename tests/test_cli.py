@@ -185,13 +185,13 @@ class TestExtensionCommand:
         assert "extension check FAILED" in capsys.readouterr().out
 
     def test_one_engine_call_per_field(self, tmp_path, engine_calls):
-        # constant and ball_poisson: 3 points x 3 radii x 1,024 nodes, less
-        # the 64 of each average on the shell rule's first and last radius,
-        # where phi_r is 0; the mirror images (z, -y) of the rest fold onto
-        # one extend row each
+        # constant and ball_poisson: 3 points x 3 radii x the 20 radii of the
+        # shell rule where phi_r is at least 2^-53 of its largest x 32
+        # directions, halved because the mirror images (z, -y) fold onto one
+        # extend row each
         assert main(["extension", "--n", "1", "--a", "0.5", "--out",
                      str(tmp_path)]) == 0
-        assert [len(rows) for rows in engine_calls] == [4320, 4320]
+        assert [len(rows) for rows in engine_calls] == [2880, 2880]
 
 
 @pytest.mark.parametrize("command", ["kernel verify", "mvp", "extension"])

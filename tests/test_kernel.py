@@ -16,7 +16,7 @@ from fracmv.kernel import (DEFAULT_GRID, _CubicSpline, _exterior_series,
                            _kernel_values, build_table, extension_mean_value,
                            gradient_of_solution, phi_direct, phi_r_convolve,
                            read_table, verify_kernel_properties, write_table)
-from fracmv.quadrature import gauss_legendre
+from fracmv.quadrature import gauss_legendre, integrate_ball_weighted
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -280,6 +280,57 @@ class TestExtensionMeanValue:
         assert all(isinstance(w, float) for w in want)
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("n, a, name", [
+        (1, -0.5, "constant"), (1, -0.5, "ball_poisson"),
+        (1, 0.5, "constant"), (1, 0.5, "ball_poisson"),
+        (2, -0.5, "constant"), (2, -0.5, "affine")])
+    def test_skipped_nodes_leave_every_bit(self, get_profile, n, a, name):
+        # the CLI's rows, against v at every node where phi_r is not 0.  At
+        # n = 2 an extended affine takes seconds a row, so v is its closed
+        # form there: P_y has unit mass and is even, so it keeps an affine f
+        from fracmv.cli import _sample
+        from fracmv.extension import reflected_extension
+
+        prof = get_profile(n, a)
+        f = make_field(name, n, (1.0 - a) / 2.0, seed=1)
+        if name == "affine":
+            def v(Z):
+                return f(Z[:, :n])
+        else:
+            v = reflected_extension(Params(n=n, a=a), f)
+        _, pts, radii = _sample(n, 3, (0.1, 0.2, 0.4))
+        x, r = np.repeat(pts, 3, axis=0), np.ravel(radii)
+
+        def every_nonzero_node(phi, Z):
+            out = phi.ravel()
+            live = out != 0.0
+            out[live] *= v(Z[live])
+            return out
+
+        np.testing.assert_array_equal(extension_mean_value(prof, v, x, r),
+                                      _shell_sums(prof, x, r, every_nonzero_node))
+        # the nodes v no longer sees hold below 1e-18 of each row's mass
+        skipped = _shell_sums(prof, x, r, lambda phi, Z: np.where(
+            phi < phi.max(axis=1, keepdims=True) * 2.0 ** -53, phi, 0.0).ravel())
+        mass = _shell_sums(prof, x, r, lambda phi, Z: phi.ravel())
+        assert np.all(skipped > 0.0) and np.all(skipped < 1e-18 * mass)
+
+
+def _shell_sums(prof, x, r, g):
+    """The shell rule's sum of g(phi_r, Z) on the rows (x, r), with phi_r
+    formed as ``extension_mean_value`` forms it, one row of phi per row."""
+    n, a = prof.n, prof.a
+    X0 = np.column_stack([x, np.zeros(len(x))])
+    scale = np.array([float(ri) ** -(n + 1.0 + a) for ri in r])
+
+    def integrand(Z):
+        k = len(Z) // len(X0)
+        phi = np.repeat(scale, k) * prof.phi(
+            (np.repeat(X0, k, axis=0) - Z) / np.repeat(r, k)[:, None])
+        return g(phi.reshape(-1, k), Z)
+
+    return integrate_ball_weighted(integrand, X0, r, a)
+
 
 def _assert_spline_matches_scipy(x, y, r):
     # value and first derivative, each within 1e-15 of its largest size
@@ -446,7 +497,9 @@ class TestPropertyReport:
         report = verify_kernel_properties(get_table(n, a), [])
         row, = [c for c in report.checks if c.name == "series_seam"]
         assert row.measured < 5e-11 and row.detail == "nodes=31"
-        assert report.passed
+        # every row passes but maximal_domination, which has no field here
+        assert [c.name for c in report.checks if not c.passed] == [
+            "maximal_domination"]
 
     def test_series_seam_fails_phi_nodes_off_by_1e8(self, table_n1_a0):
         t = table_n1_a0
@@ -473,6 +526,12 @@ class TestPropertyReport:
                 if c.name == "series_seam"]
         assert not row.passed and math.isnan(row.measured)
         assert row.detail == "nodes=0"
+
+    def test_maximal_domination_reads_nan_with_no_field(self, table_n1_a0):
+        # with no field nothing was measured, so the row cannot pass
+        row, = [c for c in verify_kernel_properties(table_n1_a0, []).checks
+                if c.name == "maximal_domination"]
+        assert not row.passed and math.isnan(row.measured)
 
     def test_gradient_zero_mean_fails_a_derivative_off_by_1e6(self, table_n1_a0):
         # the Phi' spline scaled by 1 + 1e-6 misses Phi(rmax) - Phi(0) by

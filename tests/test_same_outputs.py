@@ -36,7 +36,7 @@ def test_every_command_writes_to_its_own_directory():
         "build_n1", "build_n2", "kernel_verify_n1", "kernel_verify_n2",
         "mvp_n1", "mvp_n2", "regularity_n1", "regularity_n2",
         "extension_n1_a-0.5", "extension_n1_a0.5", "extension_n1_fields",
-        "mvp2", "regularity2"}
+        "extension_n2", "mvp2", "regularity2"}
 
 
 def test_each_file_line_gives_its_command_time_on_both_sides():

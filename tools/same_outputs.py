@@ -10,7 +10,8 @@ PYTHONPATH, one BLAS thread and its own output directory, all with
 ``mvp`` and ``regularity`` on each of those tables; ``extension --n 1`` at
 a = -0.5 and 0.5, and at a = -0.5 on the constant, affine and ball_poisson
 fields, whose rows with different truncation radii share one extend call;
-and perfbench/steps.py's ``mvp2`` and ``regularity2`` on the n = 2 table.
+``extension --n 2`` at a = 0, which takes about a minute; and
+perfbench/steps.py's ``mvp2`` and ``regularity2`` on the n = 2 table.
 Every file that either side writes is compared byte for byte, with one
 line per file that also gives the wall time and the peak RSS of the
 command that wrote it on both sides (each child's own ``os.wait4``
@@ -19,8 +20,6 @@ absolute and the largest relative change over its numeric fields, each
 with its line and its old and new value.  The script exits 1 if any
 file differs or is missing on one side, or if a command fails on either
 side.
-
-The n = 2 ``extension`` command is left out: it takes about two minutes.
 """
 from __future__ import annotations
 
@@ -52,6 +51,8 @@ COMMANDS = {
     "extension_n1_fields": ["-m", "fracmv.cli", "extension", "--n", "1",
                             "--a", "-0.5", "--fields", "constant,affine,ball_poisson",
                             "--out", "{out}"],
+    "extension_n2": ["-m", "fracmv.cli", "extension", "--n", "2", "--a", "0.0",
+                     "--out", "{out}"],
     **{step: ["perfbench/steps.py", step, "--table", "{build_n2}/table.txt",
               "--out", "{out}"]
        for step in ("mvp2", "regularity2")},
