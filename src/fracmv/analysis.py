@@ -262,8 +262,10 @@ def besov_seminorm(f: ScalarField, lam: float, p: float, window: float,
     for hr, hw in zip(hr_all.reshape(shells, 6)[::-1], hw_all.reshape(shells, 6)[::-1]):
         total = 0.0
         for d, wa in zip(dirs, ang_w):
-            for radius, wr in zip(hr, hw):
-                diff = f(xs + radius * d[None, :]) - fvals
+            # the shell's radii along d in one field call, one row each
+            shifted = xs + hr[:, None, None] * d
+            diffs = f(shifted.reshape(-1, n)).reshape(len(hr), -1) - fvals
+            for radius, wr, diff in zip(hr, hw, diffs):
                 inner = float(np.sum(np.abs(diff) ** p)) * cell
                 total += wa * wr * radius ** (n - 1) \
                     * radius ** (-(n + lam * p)) * inner

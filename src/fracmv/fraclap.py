@@ -7,6 +7,7 @@ interior values without assuming the mean value property under test.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -223,11 +224,20 @@ def _shell_window(rho, r: float):
 
 
 def _ball_poisson_data(n: int, r: float, seed: int):
-    """Exterior data of the ``ball_poisson`` field: window(|y|) times one mode."""
-    rng = np.random.default_rng(seed)
+    """Exterior data of the ``ball_poisson`` field: window(|y|) times one mode.
+
+    The mode's a0, a1, k and phase come from ``random.Random(seed)``, which
+    ``import numpy`` has already loaded; ``numpy.random`` would cost each
+    command 2.6 MB and OpenSSL.  The family is the one numpy's generator
+    drew from, but a given seed now names a different member of it.
+    """
+    if seed < 0:
+        # random.Random seeds from |seed|, so -1 would name the field of 1
+        raise ValueError(f"seed must not be negative, got {seed}")
+    rng = random.Random(seed)
     a0 = rng.uniform(0.5, 1.5)
     a1 = rng.uniform(-0.5, 0.5)
-    k = rng.integers(1, 4)
+    k = rng.randint(1, 3)
     phase = rng.uniform(0.0, 2.0 * math.pi)
 
     if n == 1:

@@ -27,7 +27,6 @@ serves as the independent check of the table.
 from __future__ import annotations
 
 import ast
-import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -604,6 +603,7 @@ DIGEST_KEY = b"sha256="
 
 def _seal(body: bytes) -> bytes:
     """Last line of a table file: the SHA-256 of every byte above it."""
+    import hashlib  # loads OpenSSL, which only the commands with a table need
     return DIGEST_KEY + hashlib.sha256(body).hexdigest().encode() + b"\n"
 
 

@@ -6,14 +6,15 @@ the extension and ball Poisson kernels in their defining forms, the
 ball-Poisson field as the direct sum over every shell node, the fractional
 Laplacian by symmetric second differences, which vanishes on the
 s-harmonic test fields, the bump's potential psi, whose gradient is
-phi(X) X, the maximal functions as one field call per ball, and the ray
-panels as one ragged list.
+phi(X) X, the maximal functions as one field call per ball, the Besov
+seminorm as one field call per radius, and the ray panels as one ragged
+list.
 """
 import math
 
 import numpy as np
 
-from fracmv.analysis import _ball_cells, _ball_measure
+from fracmv.analysis import _ball_cells, _ball_measure, _midpoint_grid
 from fracmv.bump import SUPPORT_HI, SUPPORT_LO, eta_raw
 from fracmv.extension import poisson_constant
 from fracmv.fraclap import _ball_poisson_normalizer, _shell_nodes
@@ -271,3 +272,24 @@ def hl_maximal_loop(f, x, family) -> float:
             pts = _ball_points(c, radius, family.resolution)
             best = max(best, float(np.mean(np.abs(f(pts)))))
     return best
+
+
+def besov_seminorm_loop(f, lam: float, p: float, window: float,
+                        half_width: float, grid: int, shells: int) -> float:
+    """``analysis.besov_seminorm`` with one field call per radius."""
+    n = f.n
+    dirs, ang_w = angular_rule(n, 16)
+    xs, cell = _midpoint_grid(-half_width, 2.0 * half_width, grid, n)
+    fvals = f(xs)
+    hr_all, hw_all = gauss_legendre(6, window * 2.0 ** -np.arange(shells, -1.0, -1.0))
+    shell_sums = []
+    for hr, hw in zip(hr_all.reshape(shells, 6)[::-1], hw_all.reshape(shells, 6)[::-1]):
+        total = 0.0
+        for d, wa in zip(dirs, ang_w):
+            for radius, wr in zip(hr, hw):
+                diff = f(xs + radius * d[None, :]) - fvals
+                inner = float(np.sum(np.abs(diff) ** p)) * cell
+                total += wa * wr * radius ** (n - 1) \
+                    * radius ** (-(n + lam * p)) * inner
+        shell_sums.append(total)
+    return float(sum(shell_sums)) ** (1.0 / p)

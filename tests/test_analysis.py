@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from oracles import hl_maximal_loop, sharp_maximal_loop
+from oracles import besov_seminorm_loop, hl_maximal_loop, sharp_maximal_loop
 
 from fracmv.analysis import (BallFamily, Domain, ReportRow, besov_seminorm,
                              gradient_of_solution, gradient_sharp_ratio,
@@ -11,6 +11,7 @@ from fracmv.analysis import (BallFamily, Domain, ReportRow, besov_seminorm,
                              weighted_gradient_besov_ratio)
 from fracmv.errors import ToleranceError
 from fracmv.fraclap import ScalarField, make_field
+from fracmv.quadrature import angular_rule
 
 
 def _field(fn, n=1, **kw):
@@ -205,6 +206,26 @@ class TestBesov:
         rhs = c ** (lam - 1.0 / p) \
             * besov_seminorm(f, lam, p, window=c, half_width=2.0 * c).value
         assert_allclose(lhs, rhs, rtol=2e-2)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("name", ["ball_poisson", "gaussian"])
+    def test_one_field_call_per_shell_direction(self, name, n):
+        # a shell's six radii along one direction share a field call, and
+        # the seminorm equals one call per radius bit for bit
+        calls = []
+        base = make_field(name, n, 0.5, seed=1)
+
+        def counted(pts):
+            calls.append(len(pts))
+            return base.evaluator(pts)
+
+        f = dataclasses.replace(base, evaluator=counted)
+        grid, shells = (48, 10) if n == 1 else (12, 3)
+        got = besov_seminorm(f, 0.3, 2.0, 1.0, grid=grid, shells=shells).value
+        directions = len(angular_rule(n, 16)[0])
+        assert calls == [grid ** n] + [6 * grid ** n] * (shells * directions)
+        assert got == besov_seminorm_loop(base, 0.3, 2.0, 1.0, half_width=2.0,
+                                          grid=grid, shells=shells)
 
     def test_rejects_bad_parameters(self):
         f = make_field("constant", 1, 0.5)

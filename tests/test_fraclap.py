@@ -180,6 +180,11 @@ class TestSampleFields:
         f2 = make_field("ball_poisson", 1, 0.5, seed=1)
         assert f1(np.array([0.2])) != f2(np.array([0.2]))
 
+    def test_negative_seed_rejected(self):
+        # random.Random seeds from |seed|, so -1 would name seed 1's field
+        with pytest.raises(ValueError, match="negative"):
+            make_field("ball_poisson", 1, 0.5, seed=-1)
+
     def test_seed_reproducible(self):
         f1 = make_field("ball_poisson", 2, 0.25, seed=5)
         f2 = make_field("ball_poisson", 2, 0.25, seed=5)

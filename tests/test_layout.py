@@ -132,18 +132,23 @@ def test_cli_import_loads_no_scipy():
 
 def test_build_and_regularity_load_no_numpy_ma(tmp_path):
     # numpy.ma cost 15.5-17 ms of each process's start-up; np.unique and
-    # np.median import it, and no command needs either.  The table has the
-    # default grid, since a coarse one fails kernel verify's unit_mass
+    # np.median import it, and no command needs either.  numpy.random cost
+    # 8.7 ms and 2.6 MB, and OpenSSL's _hashlib 3.6 MB more, which only the
+    # table digest needs, so `extension`, which reads no table, loads none.
+    # The table has the default grid, since a coarse one fails kernel
+    # verify's unit_mass
     table = tmp_path / "table.txt"
     code = ("import sys; from fracmv.cli import main; "
             "code = main(sys.argv[1:]); "
-            "print(code, 'numpy.ma' in sys.modules)")
+            "print(code, *(m in sys.modules "
+            "for m in ('numpy.ma', 'numpy.random', '_hashlib')))")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     read = ["--table", str(table), "--out", str(tmp_path)]
-    for argv in (["kernel", "build", "--n", "1", "--a", "0.0", "--table", str(table)],
-                 ["kernel", "verify", *read], ["mvp", *read],
-                 ["extension", "--n", "1", "--a", "0.0", "--out", str(tmp_path)],
-                 ["regularity", *read]):
+    for argv, digest in (
+            (["kernel", "build", "--n", "1", "--a", "0.0", "--table", str(table)], True),
+            (["kernel", "verify", *read], True), (["mvp", *read], True),
+            (["extension", "--n", "1", "--a", "0.0", "--out", str(tmp_path)], False),
+            (["regularity", *read], True)):
         out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                              check=True, capture_output=True, text=True).stdout
-        assert out.splitlines()[-1] == "0 False", argv
+        assert out.splitlines()[-1] == f"0 False False {digest}", argv
