@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -205,12 +205,6 @@ class _ExteriorSeries:
         return float(self._sum(self._mass, R, self.p - self.n))
 
 
-@lru_cache(maxsize=64)
-def _exterior_series(n: int, a: float, kappa: float) -> _ExteriorSeries:
-    """The series of one profile, formed on first use and shared after."""
-    return _ExteriorSeries(n, a, kappa)
-
-
 def _kernel_values(profile: BumpProfile, C: float, rho: float):
     """(Phi(rho), Phi'(rho)) from the distance form.
 
@@ -352,9 +346,9 @@ class RadialKernelTable:
     def rmax(self) -> float:
         return float(self.rho_grid[-1])
 
-    @property
+    @cached_property
     def _series(self) -> _ExteriorSeries:
-        return _exterior_series(self.params.n, self.params.a, self.profile.kappa)
+        return _ExteriorSeries(self.params.n, self.params.a, self.profile.kappa)
 
     def _radial_eval(self, spline, outer, rho):
         """Spline inside the grid, ``outer`` (a series method name) beyond it."""
@@ -406,7 +400,7 @@ def build_table(params: Params, grid_spec: dict | None = None) -> RadialKernelTa
     rho_grid = np.concatenate([dense, geo])
     # the exterior series from SERIES_START on, the distance form below it
     outer = rho_grid >= SERIES_START
-    series = _exterior_series(params.n, params.a, profile.kappa)
+    series = _ExteriorSeries(params.n, params.a, profile.kappa)
     phi = np.empty_like(rho_grid)
     psi = np.empty_like(rho_grid)
     phi[outer], psi[outer] = series.phi(rho_grid[outer]), series.dphi(rho_grid[outer])

@@ -12,10 +12,10 @@ from fracmv.bump import SUPPORT_HI
 from fracmv.errors import TableMismatchError
 from fracmv.extension import poisson_constant
 from fracmv.fraclap import Params, make_field
-from fracmv.kernel import (DEFAULT_GRID, _CubicSpline, _exterior_series,
-                           _kernel_values, build_table, extension_mean_value,
-                           gradient_of_solution, phi_direct, phi_r_convolve,
-                           read_table, verify_kernel_properties, write_table)
+from fracmv.kernel import (DEFAULT_GRID, _CubicSpline, _kernel_values, build_table,
+                           extension_mean_value, gradient_of_solution, phi_direct,
+                           phi_r_convolve, read_table, verify_kernel_properties,
+                           write_table)
 from fracmv.quadrature import gauss_legendre, integrate_ball_weighted
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -64,10 +64,9 @@ class TestTableStructure:
         assert_allclose(t.psi_radial_of(rho), want[:, 1], rtol=1e-13)
 
     def test_rebuild_is_bit_identical(self, get_table, tmp_path):
-        # the series coefficients are formed again, not reused from a cache
+        # each table forms its own series coefficients
         first, again = tmp_path / "first.txt", tmp_path / "again.txt"
         write_table(get_table(2, 0.5), first)
-        _exterior_series.cache_clear()
         write_table(build_table(Params(n=2, a=0.5)), again)
         assert first.read_bytes() == again.read_bytes()
 

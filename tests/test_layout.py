@@ -107,10 +107,8 @@ def test_public_names_reached_outside_tests(path):
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_gauss_rules_built_in_quadrature_only(path):
-    # every Gauss-Legendre and Gauss-Jacobi rule comes from quadrature.py,
-    # which maps and caches them in one place
-    if path.name == "quadrature.py":
-        return
+    # every Gauss-Legendre and Gauss-Jacobi rule comes from quadrature.py's
+    # own Golub-Welsch rule, which maps and caches them in one place
     tree = ast.parse(path.read_text(), filename=str(path))
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
@@ -130,18 +128,19 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-def test_build_and_regularity_load_no_numpy_ma(tmp_path):
+def test_commands_load_only_what_they_use(tmp_path):
     # numpy.ma cost 15.5-17 ms of each process's start-up; np.unique and
     # np.median import it, and no command needs either.  numpy.random cost
     # 8.7 ms and 2.6 MB, and OpenSSL's _hashlib 3.6 MB more, which only the
     # table digest needs, so `extension`, which reads no table, loads none.
-    # The table has the default grid, since a coarse one fails kernel
-    # verify's unit_mass
+    # numpy.polynomial's nine modules served only numpy's leggauss.  The
+    # table has the default grid, since a coarse one fails kernel verify's
+    # unit_mass
     table = tmp_path / "table.txt"
     code = ("import sys; from fracmv.cli import main; "
             "code = main(sys.argv[1:]); "
-            "print(code, *(m in sys.modules "
-            "for m in ('numpy.ma', 'numpy.random', '_hashlib')))")
+            "print(code, *(m in sys.modules for m in "
+            "('numpy.ma', 'numpy.random', 'numpy.polynomial', '_hashlib')))")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     read = ["--table", str(table), "--out", str(tmp_path)]
     for argv, digest in (
@@ -151,4 +150,4 @@ def test_build_and_regularity_load_no_numpy_ma(tmp_path):
             (["regularity", *read], True)):
         out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                              check=True, capture_output=True, text=True).stdout
-        assert out.splitlines()[-1] == f"0 False False {digest}", argv
+        assert out.splitlines()[-1] == f"0 False False False {digest}", argv

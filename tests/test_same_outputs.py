@@ -83,12 +83,26 @@ def test_a_differing_file_gets_its_largest_numeric_changes(tmp_path):
     new = b"name,x,r,residual\nconstant,0.3,0.05,7.0e-12\nball,,nan,4.0e-07\n"
     assert same_outputs.numeric_change(old, new) == (
         "max abs change 1.00e-05 (line 2: 1e-05 -> 7e-12), "
-        "max rel change 1.00e+00 (line 3: 2e-07 -> 4e-07)")
-    # a table's built_with line splits at ; and : too
+        "max rel change 1.00e+00 (line 3: 2e-07 -> 4e-07), "
+        "max column change 1.00e+00 (field 4 of the 4-field lines, "
+        "largest |old| 1.00e-05)")
+    # the column figure divides by the column's largest |old|, so a field
+    # near 0 that moves by rounding reads as rounding; line 4's empty field
+    # keeps its place, so its last field stays in the third column
+    old = b"n=1\n1.5,-2.0,1e-15\n2.0,0.5,4.0e-01\n3.0,,2.0e-16\n"
+    new = b"n=1\n1.5,-2.0,1e-15\n2.0,0.5,4.0e-01\n3.0,,0.0\n"
+    assert same_outputs.numeric_change(old, new) == (
+        "max abs change 2.00e-16 (line 4: 2e-16 -> 0.0), "
+        "max rel change 1.00e+00 (line 4: 2e-16 -> 0.0), "
+        "max column change 5.00e-16 (field 3 of the 3-field lines, "
+        "largest |old| 4.00e-01)")
+    # a table's built_with line splits at ; and : too, and its mass residual,
+    # alone in its column, gets no column figure
     assert same_outputs.numeric_change(
         b"built_with=dense_points:257;mass_residual:2.5e-06\n",
-        b"built_with=dense_points:257;mass_residual:1e-09\n").startswith(
-        "max abs change 2.50e-06 (line 1: 2.5e-06 -> 1e-09)")
+        b"built_with=dense_points:257;mass_residual:1e-09\n") == (
+        "max abs change 2.50e-06 (line 1: 2.5e-06 -> 1e-09), "
+        "max rel change 1.00e+00 (line 1: 2.5e-06 -> 1e-09)")
     assert same_outputs.numeric_change(old, old + b"x\n") == "layout differs"
     assert same_outputs.numeric_change(b"a,1\n", b"b,1\n") == \
         "no numeric field changed"

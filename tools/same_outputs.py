@@ -17,7 +17,8 @@ line per file that also gives the wall time and the peak RSS of the
 command that wrote it on both sides (each child's own ``os.wait4``
 rusage).  Under each file that differs a second line gives the largest
 absolute and the largest relative change over its numeric fields, each
-with its line and its old and new value.  The script exits 1 if any
+with its line and its old and new value, and the largest change of a
+column against that column's largest value.  The script exits 1 if any
 file differs or is missing on one side, or if a command fails on either
 side.
 """
@@ -116,11 +117,15 @@ def compare(base: Path, work: Path) -> list[tuple[str, str]]:
 
 
 def _numbers(data: bytes) -> list[list]:
-    """Each line's fields, split at , ; : = and blanks, as floats where they parse."""
+    """Each line's fields, split at , ; : = and blanks, as floats where they parse.
+
+    An empty field between two separators keeps its place, so a field's
+    position is its CSV column.
+    """
     out = []
     for line in data.decode(errors="replace").splitlines():
         row = []
-        for field in re.split(r"[,;:=\s]+", line):
+        for field in re.split(r"\s*[,;:=]\s*|\s+", line.strip()):
             try:
                 row.append(float(field))
             except ValueError:
@@ -131,25 +136,49 @@ def _numbers(data: bytes) -> list[list]:
 
 def numeric_change(old: bytes, new: bytes) -> str:
     """The largest absolute and relative change over the numeric fields that
-    two files share, field by field, each with its line and both values."""
+    two files share, field by field, each with its line and both values.
+
+    A third figure reads a column, the numeric fields at one position of
+    the lines with one field count: its largest |new - old| over its largest
+    |old|, for the worst column of two or more fields.  A field near 0 that
+    moves by rounding then reads as rounding, where its relative change
+    reads 1; a field alone in its column, as a table's mass residual is,
+    has only the first two figures.
+    """
     a, b = _numbers(old), _numbers(new)
     if len(a) != len(b) or any(len(x) != len(y) for x, y in zip(a, b)):
         return "layout differs"
     worst = {}  # kind -> (change, line, old, new)
+    # (field count, position) -> [largest |new - old|, largest |old|, fields]
+    columns = {}
     for i, (x, y) in enumerate(zip(a, b), start=1):
-        for u, v in zip(x, y):
-            if not (isinstance(u, float) and isinstance(v, float)) or u == v \
-                    or (math.isnan(u) and math.isnan(v)):
+        for k, (u, v) in enumerate(zip(x, y), start=1):
+            if not (isinstance(u, float) and isinstance(v, float)):
+                continue
+            column = columns.setdefault((len(x), k), [0.0, 0.0, 0])
+            column[1] = max(column[1], abs(u))
+            column[2] += 1
+            if u == v or (math.isnan(u) and math.isnan(v)):
                 continue
             diff = abs(v - u)
             rel = diff / abs(u) if u else math.inf
             for kind, change in (("abs", diff), ("rel", rel)):
                 if not change <= worst.get(kind, (-1.0,))[0]:
                     worst[kind] = (change, i, u, v)
+            if not diff <= column[0]:
+                column[0] = diff
     if not worst:
         return "no numeric field changed"
-    return ", ".join(f"max {kind} change {c:.2e} (line {i}: {u!r} -> {v!r})"
-                     for kind, (c, i, u, v) in worst.items())
+    figures = [f"max {kind} change {c:.2e} (line {i}: {u!r} -> {v!r})"
+               for kind, (c, i, u, v) in worst.items()]
+    moved = [(diff / top if top else math.inf, count, k, top)
+             for (count, k), (diff, top, fields) in columns.items()
+             if diff != 0.0 and fields > 1]
+    if moved:
+        ratio, count, k, top = max(moved)
+        figures.append(f"max column change {ratio:.2e} (field {k} of the "
+                       f"{count}-field lines, largest |old| {top:.2e})")
+    return ", ".join(figures)
 
 
 def report(rows, runs, changes=None) -> list[str]:
