@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from numpy.testing import assert_allclose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracmv.fraclap import (FIELD_NAMES, Params, ScalarField,
+from fracmv.fraclap import (FIELD_NAMES, PASS_POINTS, Params, ScalarField,
                             _ball_poisson_data, _ball_poisson_normalizer,
                             _shell_nodes, _shell_window, make_field,
                             sample_sharmonic)
@@ -247,6 +248,55 @@ class TestSampleFields:
             np.testing.assert_array_equal(batch, single)
         else:
             assert_allclose(batch, single, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_pass_edges_match_single_points(self, n, extra):
+        # interior batches of one pass less a point, one pass and one pass
+        # and a point, where the last pass is full, full, or holds one point
+        x = np.random.default_rng(12 + extra).uniform(-0.7, 0.7,
+                                                      (PASS_POINTS + extra, n))
+        f = make_field("ball_poisson", n, 0.4, seed=3)
+        assert np.all(np.linalg.norm(x, axis=1) < 1.0)
+        batch = f(x)
+        single = np.array([f(p) for p in x])
+        if n == 1:
+            np.testing.assert_array_equal(batch, single)
+        else:
+            assert_allclose(batch, single, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_nan_point_reads_nan(self, n):
+        # rx < r is False at a NaN point, which once sent it to the exterior
+        # data and read 0 there; a point at +-inf lies past the far radius
+        x = np.full((6, n), 0.1)
+        x[0], x[1, -1] = np.nan, np.nan
+        x[2], x[3], x[4, 0] = np.inf, -np.inf, np.inf
+        f = make_field("ball_poisson", n, 0.5, seed=1)
+        vals = f(x)
+        assert np.all(np.isnan(vals[:2]))
+        assert np.all(vals[2:5] == 0.0)
+        assert vals[5] == f(x[5]) and np.isfinite(vals[5])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_working_set_is_bounded(self, n):
+        # 20,000 points inside the ball go through the field's own buffers
+        # in passes, so one call holds a few (points,) and (points, n)
+        # arrays, 0.82 MB (n = 1) and 0.87 MB (n = 2) here; (points, rings)
+        # temporaries took 8.5 MB and 21 MB
+        rng = np.random.default_rng(13)
+        dirs = rng.normal(size=(20000, n))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        x = dirs * rng.uniform(0.0, 0.999, 20000)[:, None]
+        f = make_field("ball_poisson", n, 0.4, seed=3)
+        f(x[:1])
+        tracemalloc.start()
+        try:
+            f(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_growth_tag_consistent_with_samples(self):
         for name in ("constant", "gaussian", "ball_poisson"):

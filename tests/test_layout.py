@@ -133,21 +133,23 @@ def test_commands_load_only_what_they_use(tmp_path):
     # np.median import it, and no command needs either.  numpy.random cost
     # 8.7 ms and 2.6 MB, and OpenSSL's _hashlib 3.6 MB more, which only the
     # table digest needs, so `extension`, which reads no table, loads none.
-    # numpy.polynomial's nine modules served only numpy's leggauss.  The
-    # table has the default grid, since a coarse one fails kernel verify's
-    # unit_mass
-    table = tmp_path / "table.txt"
+    # numpy.polynomial's nine modules served only numpy's leggauss, and
+    # numpy.fft only the n = 2 field's ring modes.  The tables have the
+    # default grid, since a coarse one fails kernel verify's unit_mass
+    table, table2 = tmp_path / "table.txt", tmp_path / "table2.txt"
     code = ("import sys; from fracmv.cli import main; "
             "code = main(sys.argv[1:]); "
-            "print(code, *(m in sys.modules for m in "
-            "('numpy.ma', 'numpy.random', 'numpy.polynomial', '_hashlib')))")
+            "print(code, *(m in sys.modules for m in ('numpy.ma', 'numpy.random', "
+            "'numpy.polynomial', 'numpy.fft', '_hashlib')))")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     read = ["--table", str(table), "--out", str(tmp_path)]
     for argv, digest in (
             (["kernel", "build", "--n", "1", "--a", "0.0", "--table", str(table)], True),
             (["kernel", "verify", *read], True), (["mvp", *read], True),
             (["extension", "--n", "1", "--a", "0.0", "--out", str(tmp_path)], False),
-            (["regularity", *read], True)):
+            (["regularity", *read], True),
+            (["kernel", "build", "--n", "2", "--a", "0.0", "--table", str(table2)], True),
+            (["mvp", "--table", str(table2), "--out", str(tmp_path)], True)):
         out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                              check=True, capture_output=True, text=True).stdout
-        assert out.splitlines()[-1] == f"0 False False False {digest}", argv
+        assert out.splitlines()[-1] == f"0 False False False False {digest}", argv

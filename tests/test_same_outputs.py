@@ -41,41 +41,62 @@ def test_every_command_writes_to_its_own_directory():
 
 def test_each_file_line_gives_its_command_time_on_both_sides():
     rows = [("build_n1/table.txt", "identical"), ("mvp_n1/mean_value.csv", "differs")]
-    runs = {"base": {"build_n1": (0, 0.5, 36.0), "mvp_n1": (0, 1.234, 40.0)},
-            "work": {"build_n1": (0, 0.25, 36.0), "mvp_n1": (3, 12.0, 40.0)}}
+    runs = {"base": {"build_n1": (0, 0.5, 36.0, 5000), "mvp_n1": (0, 1.234, 40.0, 9)},
+            "work": {"build_n1": (0, 0.25, 36.0, 5000), "mvp_n1": (3, 12.0, 40.0, 9)}}
     assert same_outputs.report(rows, runs) == [
-        "           identical  build_n1/table.txt  (base 0.50 s 36.0 MB, "
-        "work tree 0.25 s 36.0 MB)",
-        "             differs  mvp_n1/mean_value.csv  (base 1.23 s 40.0 MB, "
-        "work tree 12.00 s 40.0 MB)",
+        "           identical  build_n1/table.txt  (base 0.50 s 36.0 MB 5,000 faults, "
+        "work tree 0.25 s 36.0 MB 5,000 faults)",
+        "             differs  mvp_n1/mean_value.csv  (base 1.23 s 40.0 MB 9 faults, "
+        "work tree 12.00 s 40.0 MB 9 faults)",
     ]
 
 
 def test_each_file_line_gives_its_command_peak_rss_on_both_sides():
     rows = [("extension_n1_fields/extension_check.csv", "identical")]
-    runs = {"base": {"extension_n1_fields": (0, 0.61, 69.44)},
-            "work": {"extension_n1_fields": (0, 0.58, 54.04)}}
+    runs = {"base": {"extension_n1_fields": (0, 0.61, 69.44, 7000)},
+            "work": {"extension_n1_fields": (0, 0.58, 54.04, 7000)}}
     assert same_outputs.report(rows, runs) == [
         "           identical  extension_n1_fields/extension_check.csv  "
-        "(base 0.61 s 69.4 MB, work tree 0.58 s 54.0 MB)"]
+        "(base 0.61 s 69.4 MB 7,000 faults, work tree 0.58 s 54.0 MB 7,000 faults)"]
 
 
-def test_run_one_reads_each_childs_own_peak_rss(tmp_path):
-    # run from a fresh interpreter, whose own peak is a floor for its
-    # children's: one child that fills 64 MB, then one that does not, which
-    # RUSAGE_CHILDREN would give the first one's peak
+def test_each_file_line_gives_its_command_minor_faults_on_both_sides():
+    rows = [("regularity2/regularity.csv", "identical")]
+    runs = {"base": {"regularity2": (0, 0.30, 38.3, 17552)},
+            "work": {"regularity2": (0, 0.26, 36.4, 5271)}}
+    assert same_outputs.report(rows, runs) == [
+        "           identical  regularity2/regularity.csv  "
+        "(base 0.30 s 38.3 MB 17,552 faults, work tree 0.26 s 36.4 MB 5,271 faults)"]
+
+
+def _run_one_big_then_small(tmp_path, index):
+    # run from a fresh interpreter, whose own counts are a floor for its
+    # children's peak RSS: one child that fills 64 MB, then one that does
+    # not, which RUSAGE_CHILDREN would give the first one's counts
     tools = str(Path(same_outputs.__file__).parent)
     script = ("import sys; sys.path.insert(0, sys.argv[1]); import same_outputs\n"
               "big = [sys.executable, '-c', 'b = b\"x\" * (64 << 20)']\n"
               "small = [sys.executable, '-c', 'pass']\n"
-              "print(*[same_outputs.run_one(argv, '.', None)[2] for argv in (big, small)])")
-    out = subprocess.run([sys.executable, "-c", script, tools], cwd=tmp_path,
-                         capture_output=True, text=True, check=True).stdout
-    big, small = map(float, out.split())
+              "print(*[same_outputs.run_one(argv, '.', None)[int(sys.argv[2])] "
+              "for argv in (big, small)])")
+    out = subprocess.run([sys.executable, "-c", script, tools, str(index)],
+                         cwd=tmp_path, capture_output=True, text=True,
+                         check=True).stdout
+    return map(float, out.split())
+
+
+def test_run_one_reads_each_childs_own_peak_rss(tmp_path):
+    big, small = _run_one_big_then_small(tmp_path, 2)
     assert big >= 64.0 and small < big - 32.0
-    code, wall, _ = same_outputs.run_one(
+    code, wall, _, _ = same_outputs.run_one(
         [sys.executable, "-c", "raise SystemExit(3)"], tmp_path, None)
     assert code == 3 and wall > 0.0
+
+
+def test_run_one_reads_each_childs_own_minor_faults(tmp_path):
+    # 64 MB of fresh pages are at least 16,384 faults of 4 KiB
+    big, small = _run_one_big_then_small(tmp_path, 3)
+    assert big >= 16384 and small < big - 8192
 
 
 def test_a_differing_file_gets_its_largest_numeric_changes(tmp_path):
@@ -107,8 +128,9 @@ def test_a_differing_file_gets_its_largest_numeric_changes(tmp_path):
     assert same_outputs.numeric_change(b"a,1\n", b"b,1\n") == \
         "no numeric field changed"
     rows = [("mvp_n1/mean_value.csv", "differs")]
-    runs = {"base": {"mvp_n1": (0, 1.0, 40.0)}, "work": {"mvp_n1": (0, 2.0, 40.5)}}
+    runs = {"base": {"mvp_n1": (0, 1.0, 40.0, 10)},
+            "work": {"mvp_n1": (0, 2.0, 40.5, 20)}}
     assert same_outputs.report(rows, runs, {"mvp_n1/mean_value.csv": "text"}) == [
-        "             differs  mvp_n1/mean_value.csv  (base 1.00 s 40.0 MB, "
-        "work tree 2.00 s 40.5 MB)",
+        "             differs  mvp_n1/mean_value.csv  (base 1.00 s 40.0 MB 10 faults, "
+        "work tree 2.00 s 40.5 MB 20 faults)",
         "                      text"]

@@ -13,14 +13,14 @@ fields, whose rows with different truncation radii share one extend call;
 ``extension --n 2`` at a = 0, which takes about a minute; and
 perfbench/steps.py's ``mvp2`` and ``regularity2`` on the n = 2 table.
 Every file that either side writes is compared byte for byte, with one
-line per file that also gives the wall time and the peak RSS of the
-command that wrote it on both sides (each child's own ``os.wait4``
-rusage).  Under each file that differs a second line gives the largest
-absolute and the largest relative change over its numeric fields, each
-with its line and its old and new value, and the largest change of a
-column against that column's largest value.  The script exits 1 if any
-file differs or is missing on one side, or if a command fails on either
-side.
+line per file that also gives the wall time, the peak RSS and the minor
+page faults of the command that wrote it on both sides (each child's own
+``os.wait4`` rusage).  Under each file that differs a second line gives
+the largest absolute and the largest relative change over its numeric
+fields, each with its line and its old and new value, and the largest
+change of a column against that column's largest value.  The script exits
+1 if any file differs or is missing on one side, or if a command fails on
+either side.
 """
 from __future__ import annotations
 
@@ -62,7 +62,8 @@ SEED = "1"
 
 
 def run_one(argv, tree: Path, env: dict) -> tuple:
-    """Run one command to its end: (exit code, wall seconds, peak RSS in MB).
+    """Run one command to its end: (exit code, wall seconds, peak RSS in MB,
+    minor page faults).
 
     exec keeps the high-water mark of the process it replaces, so a child's
     peak is never below this script's own.
@@ -79,13 +80,14 @@ def run_one(argv, tree: Path, env: dict) -> tuple:
             err.seek(0)
             print(f"{argv[1:]} in {tree} exited {proc.returncode}:\n"
                   f"{err.read().decode(errors='replace')[-2000:]}", file=sys.stderr)
-    return proc.returncode, wall, usage.ru_maxrss / 1024.0
+    return proc.returncode, wall, usage.ru_maxrss / 1024.0, usage.ru_minflt
 
 
 def run_all(tree: Path, out: Path) -> dict:
     """Run every command in ``tree``, each into out/<name>.
 
-    Returns ``run_one``'s (exit code, wall seconds, peak RSS) per command.
+    Returns ``run_one``'s (exit code, wall seconds, peak RSS, minor faults)
+    per command.
     """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -182,15 +184,17 @@ def numeric_change(old: bytes, new: bytes) -> str:
 
 
 def report(rows, runs, changes=None) -> list[str]:
-    """One line per (file, verdict) row, with the wall time and peak RSS on
-    both sides of the command whose directory holds the file, and for a file
-    in ``changes`` (relative path -> text) that text on the next line."""
+    """One line per (file, verdict) row, with the wall time, peak RSS and
+    minor page faults on both sides of the command whose directory holds the
+    file, and for a file in ``changes`` (relative path -> text) that text on
+    the next line."""
     lines = []
     for rel, verdict in rows:
         name = rel.split("/")[0]
-        (_, bt, bm), (_, wt, wm) = runs["base"][name], runs["work"][name]
-        lines.append(f"{verdict:>20}  {rel}  (base {bt:.2f} s {bm:.1f} MB, "
-                     f"work tree {wt:.2f} s {wm:.1f} MB)")
+        (_, bt, bm, bf), (_, wt, wm, wf) = runs["base"][name], runs["work"][name]
+        lines.append(f"{verdict:>20}  {rel}  (base {bt:.2f} s {bm:.1f} MB "
+                     f"{bf:,} faults, work tree {wt:.2f} s {wm:.1f} MB "
+                     f"{wf:,} faults)")
         if changes and rel in changes:
             lines.append(f"{'':>20}  {changes[rel]}")
     return lines
