@@ -45,8 +45,7 @@ EXIT_CODES = ((UsageError, 2), (TableMismatchError, 3), (OSError, 4),
 @dataclass
 class RunConfig:
     n: int | None = None  # None: the table's n, or 1 where no table is read
-    a: float | None = None
-    s: float | None = None
+    a: float | None = None  # the s key and the --s flag set a = 1 - 2s
     table: str | None = None
     out: str = "."
     seed: int = 0
@@ -56,13 +55,10 @@ class RunConfig:
 
     @property
     def params(self) -> Params:
-        if (self.a is None) == (self.s is None):
+        if self.a is None:
             raise UsageError("exactly one of --a and --s must be given")
-        n = 1 if self.n is None else self.n
         try:
-            if self.s is not None:
-                return Params.from_s(n, self.s)
-            return Params(n=n, a=self.a)
+            return Params(n=1 if self.n is None else self.n, a=self.a)
         except ValueError as exc:  # e.g. a tiny s rounds a = 1 - 2s to 1
             raise UsageError(str(exc)) from exc
 
@@ -101,13 +97,14 @@ def _apply_config_key(cfg: RunConfig, key: str, val: str):
             raise UsageError(f"n must be 1 or 2, got {cfg.n}")
     # a = 1 - 2s, so either one replaces the other; NaN fails both ranges
     elif key == "a":
-        cfg.a, cfg.s = float(val), None
+        cfg.a = float(val)
         if not -1.0 < cfg.a < 1.0:
             raise UsageError(f"a must lie in (-1, 1), got {cfg.a}")
     elif key == "s":
-        cfg.a, cfg.s = None, float(val)
-        if not 0.0 < cfg.s < 1.0:
-            raise UsageError(f"s must lie in (0, 1), got {cfg.s}")
+        s = float(val)
+        if not 0.0 < s < 1.0:
+            raise UsageError(f"s must lie in (0, 1), got {s}")
+        cfg.a = 1.0 - 2.0 * s
     elif key == "table":
         cfg.table = val
     elif key == "out":
@@ -176,7 +173,7 @@ def _load_table(cfg: RunConfig) -> RadialKernelTable:
     # an n, a or s left unset follows the table
     held = table.params
     want = {"n": held.n if cfg.n is None else cfg.n}
-    if cfg.a is not None or cfg.s is not None:
+    if cfg.a is not None:
         want["a"] = cfg.params.a
     if want != {key: getattr(held, key) for key in want}:
         raise TableMismatchError(

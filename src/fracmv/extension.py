@@ -66,8 +66,9 @@ def ray_integrals(f: ScalarField, x, scale, kernel, tail: float, mass: float,
                   body, tol: float, subtract=0.0, moment: bool = False):
     """Integrals of f along rays from each row against a radial kernel K.
 
-    Row i is a point x_i with a scale h_i > 0.  Direction d_j of the angular
-    rule, of weight w_j, gives I_ij, the integral over t > 0 of
+    Row i is a point x_i with a scale h_i > 0 (any other h_i, NaN too,
+    raises ValueError).  Direction d_j of the angular rule, of weight w_j,
+    gives I_ij, the integral over t > 0 of
     K(t) t^(n-1) (f(x_i + h_i t d_j) - f0_i), f0 = ``subtract``.  Returns
     sum_j w_j I_ij, an (m,) array, or with ``moment`` sum_j w_j d_j I_ij, an
     (m, n) array.  |K(t)| decays like t^-tail past t = 64, ``mass`` is the
@@ -86,6 +87,8 @@ def ray_integrals(f: ScalarField, x, scale, kernel, tail: float, mass: float,
     n = f.n
     pts = np.asarray(x, dtype=float).reshape(-1, n)
     h = np.broadcast_to(np.asarray(scale, dtype=float), (len(pts),))
+    if not np.all(h > 0.0):
+        raise ValueError(f"scale must be positive, got {h[~(h > 0.0)][0]}")
     f0 = np.broadcast_to(np.asarray(subtract, dtype=float), (len(pts),))
     dirs, ang_w = angular_rule(n, DIRECTIONS)
     D = len(dirs)
@@ -189,7 +192,7 @@ def extend(params: Params, f: ScalarField, x, y, tol: float = 1e-8):
     # f at the rows, EXTEND_POINTS a call as for the probes, into a fresh array
     out = np.concatenate([f(c) for c in np.split(
         pts, range(EXTEND_POINTS, len(pts), EXTEND_POINTS))])
-    up = h > 0.0
+    up = h != 0.0  # a NaN height goes to the engine, which rejects it
     if np.any(up):
         C = poisson_constant(n, a)
         p = n + 1.0 - a
@@ -200,17 +203,13 @@ def extend(params: Params, f: ScalarField, x, y, tol: float = 1e-8):
 
 
 def reflected_extension(params: Params, f: ScalarField):
-    """Evaluator for v(z, y) on R^{n+1}, batched over rows of any height.
+    """Evaluator for v(z, y) = u(z, |y|) on R^{n+1}, batched over rows.
 
-    Accepts an array of shape (m, n+1).  The heights are folded to |y|, so
-    the mirrored points (z, y) and (z, -y) are one row, and the distinct
-    (z, |y|) rows, sorted by height, are extended in one ``extend`` call.
+    Accepts an array of shape (m, n+1) and extends its rows, as given, in
+    one ``extend`` call, which takes |y|.
     """
     def v(points):
-        rows = np.array(points, dtype=float).reshape(-1, params.n + 1)
-        rows[:, -1] = np.abs(rows[:, -1])
-        # the distinct rows, reversed so that np.unique sorts by height first
-        rows, back = np.unique(rows[:, ::-1], axis=0, return_inverse=True)
-        return extend(params, f, rows[:, :0:-1], rows[:, 0])[back]
+        rows = np.asarray(points, dtype=float).reshape(-1, params.n + 1)
+        return extend(params, f, rows[:, :-1], rows[:, -1])
 
     return v

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -54,12 +54,8 @@ class Params:
     def s(self) -> float:
         return (1.0 - self.a) / 2.0
 
-    @classmethod
-    def from_s(cls, n: int, s: float) -> "Params":
-        return cls(n=n, a=1.0 - 2.0 * s)
 
-
-@dataclass
+@dataclass(frozen=True)
 class ScalarField:
     """An evaluatable real-valued function on R^n with a declared growth.
 
@@ -319,12 +315,10 @@ def make_field(name: str, n: int, s: float, r: float = 1.0, seed: int = 0) -> Sc
                            n=n, degree=s, scale=1.0,
                            description=f"max(x,0)^{s}")
     if name == "ball_poisson":
-        fld = sample_sharmonic(_ball_poisson_data(n, r, seed), r, s, n)
-        fld.description = f"ball-poisson(n={n}, s={s}, seed={seed})"
         # the exterior data, and so the field, is 0 past the window, whose
         # end a rule that does not stop there needs as a break
         edge = (_WINDOW_START + _WINDOW_WIDTH) * r
-        fld.kink_radii = (r, edge)
-        fld.far = (edge, 0.0)
-        return fld
+        return replace(sample_sharmonic(_ball_poisson_data(n, r, seed), r, s, n),
+                       description=f"ball-poisson(n={n}, s={s}, seed={seed})",
+                       kink_radii=(r, edge), far=(edge, 0.0))
     raise ValueError(f"unknown field {name!r}; known: {', '.join(FIELD_NAMES)}")

@@ -456,8 +456,9 @@ def extension_mean_value(profile: BumpProfile, v, x, r):
     """Integral of phi_r(X0 - Z) v(Z) |y|^a, X0 = (x, 0), phi_r = r^-(n+1+a) phi(./r).
 
     phi_r lives on the shell r/4 < |Z - X0| < 3r/4, where the fixed rule of
-    ``integrate_ball_weighted`` (1,024 nodes at n = 1, 9,216 at n = 2)
-    evaluates v; on v = 1 it meets unit mass to about 1e-12.  ``x`` is one
+    ``integrate_ball_weighted`` (512 nodes at n = 1, 4,608 at n = 2, all in
+    y > 0) evaluates v, which must be even in y, as the reflected extension
+    is; on v = 1 it meets unit mass to about 1e-12.  ``x`` is one
     point or an (m, n) array of rows, ``r`` one radius or m radii, one per
     row; a point returns a float and rows an (m,) array.  v is called once,
     with the nodes of every row where phi_r is at least 2^-53 of the row's

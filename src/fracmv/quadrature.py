@@ -25,8 +25,8 @@ __all__ = [
 # SUPPORT_LO and SUPPORT_HI from here
 SHELL = (0.25, 0.75)
 SHELL_RADII = 32   # Gauss-Legendre radii of the shell rule
-ARC_NODES = 8      # Gauss-Jacobi angles per quarter arc (n = 1)
-HEIGHT_NODES = 6   # Gauss-Jacobi heights |omega_y| per hemisphere (n = 2)
+ARC_NODES = 8      # Gauss-Jacobi angles per upper quarter arc (n = 1)
+HEIGHT_NODES = 6   # Gauss-Jacobi heights omega_y > 0 (n = 2)
 AZIMUTHS = 24      # trapezoidal azimuths per height (n = 2)
 
 
@@ -139,33 +139,36 @@ def gauss_jacobi(count: int, a: float, hi: float):
 
 
 def _sphere_rule(n: int, a: float):
-    """Directions and weights on S^n in R^{n+1} for the weight |omega_y|^a.
+    """Directions and weights on the half omega_y > 0 of S^n in R^{n+1}.
 
-    n = 1: ``gauss_jacobi`` in theta times (sin theta/theta)^a on the four
-    quarter arcs (+-cos theta, +-sin theta).  n = 2: Archimedes' du dphi,
-    ``gauss_jacobi`` in |u| = |omega_y| mirrored to +-u, times azimuths.
+    The weight is |omega_y|^a, and each weight is doubled, so the rule
+    integrates a function even in omega_y over all of S^n.  n = 1:
+    ``gauss_jacobi`` in theta times (sin theta/theta)^a on the two upper
+    quarter arcs (+-cos theta, sin theta).  n = 2: Archimedes' du dphi,
+    ``gauss_jacobi`` in u = omega_y, times azimuths.
     """
     if n == 1:
         theta, w = gauss_jacobi(ARC_NODES, a, 0.5 * math.pi)
         arc = np.column_stack([np.cos(theta), np.sin(theta)])
-        dirs = np.concatenate([arc * q for q in ((1, 1), (-1, 1), (1, -1), (-1, -1))])
-        return dirs, np.tile(w * (np.sin(theta) / theta) ** a, 4)
+        dirs = np.concatenate([arc, arc * (-1, 1)])
+        return dirs, np.tile(2.0 * w * (np.sin(theta) / theta) ** a, 2)
     u, wu = gauss_jacobi(HEIGHT_NODES, a, 1.0)
-    u, wu = np.concatenate([-u, u]), np.tile(wu, 2)
     plane, wp = angular_rule(2, AZIMUTHS)
     ring = np.sqrt(1.0 - u * u)[:, None, None] * plane
     dirs = np.dstack([ring, np.broadcast_to(u[:, None], ring.shape[:2])])
-    return dirs.reshape(-1, 3), np.outer(wu, wp).ravel()
+    return dirs.reshape(-1, 3), np.outer(2.0 * wu, wp).ravel()
 
 
 def integrate_ball_weighted(g, center, radius, a: float):
     """Integrate ``g`` against |y|^a over the shell where phi_radius lives.
 
-    ``g`` must vanish outside the shell SHELL[0] R < |Z - center| <
-    SHELL[1] R, R = ``radius``, as phi_R(center - Z) does.  The center lies
-    on y = 0, so Z = center + rho omega has |y|^a = rho^a |omega_y|^a: the
-    rule is ``SHELL_RADII`` Gauss-Legendre radii with the weight rho^(n+a)
-    times ``_sphere_rule``.  ``center`` is one point of length n+1 or an
+    ``g`` must be even in y, as phi_R(center - Z) and the reflected
+    extension are, since the rule's nodes all lie in y > 0 and count twice,
+    and vanish outside the shell SHELL[0] R < |Z - center| < SHELL[1] R,
+    R = ``radius``, as phi_R(center - Z) does.  The center lies on y = 0,
+    so Z = center + rho omega has |y|^a = rho^a |omega_y|^a: the rule is
+    ``SHELL_RADII`` Gauss-Legendre radii with the weight rho^(n+a) times
+    ``_sphere_rule``.  ``center`` is one point of length n+1 or an
     (m, n+1) array of rows, ``radius`` one radius or m; a point returns a
     float and rows an (m,) array.  ``g`` is called once, with every node of
     every row, row by row, as an array of shape (k, n+1), and must return

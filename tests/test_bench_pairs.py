@@ -11,8 +11,8 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-SPEC = {"end_to_end": [{"name": "run_s", "better": "lower"},
-                       {"name": "rate", "better": "higher"}]}
+SPEC = {"end_to_end": [{"name": "run_s", "better": "lower", "bound": 0.25},
+                       {"name": "rate", "better": "higher", "bound": 0.25}]}
 
 
 def _runs(base, work, revision="r1"):
@@ -61,6 +61,36 @@ def test_no_gain_shown(work, pairs):
     row = bench_pairs.summarize(_runs(BASE[:pairs], work), SPEC)["w"]["run_s"]
     assert row["pairs"] == pairs
     assert row["gain_shown"] is False
+
+
+@pytest.mark.parametrize("factor,run_s,rate", [
+    (0.5, True, True),     # better on both
+    (1.2, True, True),     # run_s 20 % worse, rate 17 % worse
+    (1.3, False, True),    # run_s 30 % worse, rate 23 % worse
+    (1.5, False, False),   # run_s 50 % worse, rate 33 % worse
+])
+def test_within_bound_judges_the_median_against_the_bound(factor, run_s, rate):
+    # the bound, 0.25, is a fraction of the base median, in the direction
+    # in which the metric gets worse
+    rows = bench_pairs.summarize(_runs(BASE, [b * factor for b in BASE]), SPEC)["w"]
+    assert rows["run_s"]["within_bound"] is run_s
+    assert rows["rate"]["within_bound"] is rate
+
+
+WIDE = [1.0] * 5 + [2.0] * 5  # quartiles 1 and 2, median 1.5
+
+
+@pytest.mark.parametrize("base,work,unresolved", [
+    (WIDE, WIDE, True),                      # spread 1 > 0.25 x 1.5
+    (WIDE, [0.9] * 10, False),               # every work run beats every base run
+    (WIDE, [0.9] * 9 + [1.0], True),         # one ties the best base run
+    (BASE, [b * 1.3 for b in BASE], False),  # a regression the spread resolves
+], ids=["same", "apart", "tie", "narrow"])
+def test_unresolved_when_the_base_spread_is_wider_than_the_bound(base, work,
+                                                                  unresolved):
+    row = bench_pairs.summarize(_runs(base, work), SPEC)["w"]["run_s"]
+    assert row["base_iqr"] == pytest.approx(1.0 if base is WIDE else 0.055)
+    assert row["unresolved"] is unresolved
 
 
 def test_runs_of_an_older_revision_are_left_out():

@@ -195,9 +195,8 @@ class TestExtensionCommand:
 
     def test_one_engine_call_per_field(self, tmp_path, engine_calls):
         # constant and ball_poisson: 3 points x 3 radii x the 20 radii of the
-        # shell rule where phi_r is at least 2^-53 of its largest x 32
-        # directions, halved because the mirror images (z, -y) fold onto one
-        # extend row each
+        # shell rule where phi_r is at least 2^-53 of its largest x its 16
+        # directions, all in the half y > 0
         assert main(["extension", "--n", "1", "--a", "0.5", "--out",
                      str(tmp_path)]) == 0
         assert [len(rows) for rows in engine_calls] == [2880, 2880]
@@ -547,6 +546,21 @@ def test_flags_and_config_file_agree(tmp_path):
     assert from_file == RunConfig(n=2, a=0.25, table="t.txt", out="runs",
                                   seed=7, fields=["constant", "affine"],
                                   tolerances={"mvp": 1e-3, "constancy": 2e-3})
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(s=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+       .filter(lambda s: 1.0 - 2.0 * s < 1.0))
+def test_s_and_its_a_build_equal_configs(tmp_path_factory, s):
+    # the config holds the order as a alone: s = x sets a = 1 - 2x.  An s
+    # below 2^-54 rounds a to 1, which Params rejects with a usage error
+    built = []
+    for line in (f"s = {s!r}\n", f"a = {1 - 2 * s!r}\n"):
+        cfg = tmp_path_factory.mktemp("order") / "run.cfg"
+        cfg.write_text(line)
+        built.append(_build_config(_make_parser().parse_args(
+            ["mvp", "--config", str(cfg)])))
+    assert built[0] == built[1]
 
 
 def test_config_fields_keep_each_name_once(tmp_path):

@@ -190,19 +190,39 @@ def test_reflected_extension_evaluates_mirrored_rows_once(monkeypatch, name, a):
     v = reflected_extension(p, f)
     values = v(points)
 
-    # one extend call, with each distinct (x, |y|) row once, and no field
-    # call above the point budget
+    # one extend call, with the rows as given, and no field call above the
+    # point budget; extend takes |y|, so (x, y) and (x, -y) read the same
     assert len(received) == 1
-    rows = received[0]
-    folded = np.column_stack([points[:, 0], np.abs(points[:, 1])])
-    assert len(rows) == len(np.unique(rows, axis=0)) == 3 * len(xs)
-    np.testing.assert_array_equal(np.unique(rows, axis=0),
-                                  np.unique(folded, axis=0))
+    np.testing.assert_array_equal(received[0], points)
     assert max(sizes) <= EXTEND_POINTS
+    by_height = values.reshape(len(heights), -1)
+    np.testing.assert_array_equal(by_height, by_height[::-1])
     received.clear()
     singles = np.array([v(p[None, :])[0] for p in points])
     assert len(received) == len(points)
     np.testing.assert_array_equal(values, singles)
+
+
+@pytest.mark.parametrize("scale", [0.0, -0.1, np.nan])
+def test_the_engine_rejects_a_scale_that_is_not_positive(get_table, scale):
+    # a zero scale read f(x), and a negative one stopped the far field at
+    # the wrong end
+    table = get_table(1, 0.0)
+    f = make_field("ball_poisson", 1, 0.5, seed=1)
+    for call in (phi_r_convolve, gradient_of_solution):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            call(table, f, np.array([0.2]), scale)
+
+
+def test_extend_rejects_a_nan_height():
+    # it read f(x), as if the height were 0; -y and 0 stay valid heights
+    p = Params(n=1, a=0.0)
+    f = make_field("ball_poisson", 1, p.s, seed=1)
+    x = np.array([[0.2], [0.3]])
+    with pytest.raises(ValueError, match="scale must be positive"):
+        extend(p, f, x, np.array([0.1, np.nan]))
+    np.testing.assert_array_equal(extend(p, f, x, np.array([-0.1, 0.0])),
+                                  [extend(p, f, x[0], 0.1), f(x[1])])
 
 
 @pytest.mark.parametrize("name,a", [("ball_poisson", 0.3), ("xplus_s", -0.5)],

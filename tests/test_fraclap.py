@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -36,11 +37,6 @@ class TestRows:
 
 
 class TestParams:
-    def test_from_s_roundtrip(self):
-        p = Params.from_s(1, 0.75)
-        assert p.a == -0.5
-        assert 2.0 * p.s + p.a == 1.0  # exact float identity
-
     def test_from_a_roundtrip(self):
         p = Params(n=2, a=0.5)
         assert p.s == 0.25
@@ -197,6 +193,13 @@ class TestSampleFields:
             assert isinstance(f, ScalarField)
         with pytest.raises(ValueError):
             make_field("nope", 1, 0.5)
+
+    def test_a_built_field_cannot_change(self):
+        # the engine reads a field's declarations while it evaluates it
+        f = make_field("ball_poisson", 1, 0.5, seed=1)
+        assert f.kink_radii == (1.0, 3.3) and f.far == (3.3, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.far = None
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_evaluator_matches_norm_formula(self, n):

@@ -8,7 +8,9 @@ from scipy.special import roots_jacobi
 
 from fracmv.bump import SUPPORT_HI, SUPPORT_LO, eta_raw
 from fracmv.errors import EvaluationError, ToleranceError
-from fracmv.quadrature import (SHELL, _jacgauss, _sphere_rule, gauss_legendre,
+from fracmv.quadrature import (ARC_NODES, AZIMUTHS, HEIGHT_NODES, SHELL,
+                               SHELL_RADII, _jacgauss, _sphere_rule, angular_rule,
+                               gauss_jacobi, gauss_legendre,
                                integrate_ball_weighted, tail_radius)
 from oracles import adaptive_simpson
 
@@ -177,22 +179,10 @@ def test_shell_is_the_bump_support():
     assert SHELL == (SUPPORT_LO, SUPPORT_HI)
 
 
-def test_ball_weighted_odd_in_y():
-    # an integrand odd in y, zero off the shell, integrates to 0
-    center, R = np.array([0.2, 0.0]), 0.7
-
-    def odd(p):
-        bump = eta_raw(np.linalg.norm(p - center, axis=1) / R)
-        return bump * p[:, -1] * np.exp(p[:, 0])
-
-    scale = integrate_ball_weighted(lambda p: np.abs(odd(p)), center, R, 0.3)
-    val = integrate_ball_weighted(odd, center, R, 0.3)
-    assert scale > 0.0 and abs(val) <= 1e-15 * scale
-
-
 @pytest.mark.parametrize("n", [1, 2])
 def test_ball_weighted_calls_g_once(n):
-    # one g call holds every node, and every node lies in the closed shell
+    # one g call holds every node, and every node lies in the closed shell,
+    # in the half y > 0
     calls = []
 
     def g(p):
@@ -204,7 +194,8 @@ def test_ball_weighted_calls_g_once(n):
     integrate_ball_weighted(g, center, 0.7, 0.3)
     assert len(calls) == 1
     nodes = calls[0]
-    assert nodes.shape == ((1024, 2) if n == 1 else (9216, 3))
+    assert nodes.shape == ((512, 2) if n == 1 else (4608, 3))
+    assert np.all(nodes[:, -1] > 0.0)
     dist = np.linalg.norm(nodes - center, axis=1)
     assert np.all((0.25 * 0.7 <= dist) & (dist <= 0.75 * 0.7))
 
@@ -223,7 +214,7 @@ def test_ball_weighted_rows_equal_per_row_calls_bit_for_bit(n, a):
     centers = np.zeros((4, n + 1))
     centers[:, 0] = (-0.6, -0.1, 0.0, 0.45)
     radii = np.array([0.03, 0.3, 0.7, 0.11])
-    k = 1024 if n == 1 else 9216
+    k = 512 if n == 1 else 4608
     for radius in (radii, 0.2):
         calls.clear()
         got = integrate_ball_weighted(g, centers, radius, a)
@@ -232,6 +223,45 @@ def test_ball_weighted_rows_equal_per_row_calls_bit_for_bit(n, a):
                 for c, R in zip(centers, np.broadcast_to(radius, (4,)))]
         assert all(isinstance(w, float) for w in want)
         np.testing.assert_array_equal(got, want)
+
+
+def _mirrored_sphere_rule(n, a):
+    """Both halves of S^n in R^{n+1}, for the weight |omega_y|^a: four
+    quarter arcs at n = 1, heights +-u at n = 2, each node at its own weight."""
+    if n == 1:
+        theta, w = gauss_jacobi(ARC_NODES, a, 0.5 * math.pi)
+        arc = np.column_stack([np.cos(theta), np.sin(theta)])
+        dirs = np.concatenate([arc * q for q in ((1, 1), (-1, 1), (1, -1), (-1, -1))])
+        return dirs, np.tile(w * (np.sin(theta) / theta) ** a, 4)
+    u, wu = gauss_jacobi(HEIGHT_NODES, a, 1.0)
+    u, wu = np.concatenate([-u, u]), np.tile(wu, 2)
+    plane, wp = angular_rule(2, AZIMUTHS)
+    ring = np.sqrt(1.0 - u * u)[:, None, None] * plane
+    dirs = np.dstack([ring, np.broadcast_to(u[:, None], ring.shape[:2])])
+    return dirs.reshape(-1, 3), np.outer(wu, wp).ravel()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("a", [-0.5, 0.5])
+def test_ball_weighted_half_rule_equals_the_mirrored_rule(n, a):
+    # on an integrand even in y, the nodes of y > 0 at twice their weight
+    # give the sum of the rule on the whole sphere
+    nodes = []
+
+    def even(p):
+        nodes.append(p)
+        return eta_raw(np.linalg.norm(p - center, axis=1) / R) \
+            * np.exp(p[:, 0]) * (1.0 + p[:, -1] ** 2)
+
+    center, R = np.zeros(n + 1), 0.7
+    center[0] = 0.2
+    got = integrate_ball_weighted(even, center, R, a)
+    assert np.all(nodes[0][:, -1] > 0.0)
+    dirs, wd = _mirrored_sphere_rule(n, a)
+    rho, wr = gauss_legendre(SHELL_RADII, (SHELL[0] * R, SHELL[1] * R))
+    Z = (center + rho[:, None, None] * dirs).reshape(-1, n + 1)
+    want = np.sum(np.outer(wr * rho ** (n + a), wd).ravel() * even(Z))
+    assert_allclose(got, want, rtol=1e-15)
 
 
 def test_ball_weighted_propagates_nonfinite():

@@ -15,10 +15,15 @@ number of ``.pyc`` files under the tree's ``src`` before the run go into
 ``--out``; an existing file is extended, so several workloads can share one.
 The summary gives each side's median and quartiles of every end-to-end
 metric, the number of pairs the work tree won, the work median minus the
-base median (``median_diff``), the base's quartile distance (``base_iqr``)
-and ``gain_shown``: whether the work tree won at least nine tenths of ten
+base median (``median_diff``), the base's quartile distance (``base_iqr``),
+``gain_shown``: whether the work tree won at least nine tenths of ten
 or more pairs and its median is better than the base's by more than
-``base_iqr``.  It uses only the runs
+``base_iqr``.  It also gives the no-regression verdict against the metric's
+``bound`` in BENCHMARK.json, a fraction of the base median:
+``within_bound``, whether the work median is worse than the base median by
+no more than bound times the base median, and ``unresolved``, whether
+``base_iqr`` is wider than that while not every work run beats every base
+run.  It uses only the runs
 whose ``revision`` equals that of the newest run on the same side, and
 stores the number of runs it left out as ``excluded_runs``.
 
@@ -111,9 +116,17 @@ def summarize(runs, spec) -> dict:
             # pairs and its median is better by more than the base's spread
             shown = len(pairs) >= 10 and 10 * wins >= 9 * len(pairs) \
                 and -sign * diff > iqr
+            # the bound is a fraction of the base median; a base spread wider
+            # than it cannot tell a regression from noise, unless every work
+            # run beats every base run
+            allowed = m["bound"] * abs(side["base"]["median"])
+            apart = max(sign * v for v in side["work"]["runs"]) \
+                < min(sign * v for v in side["base"]["runs"])
             rows[m["name"]] = {**side, "work_wins": wins, "pairs": len(pairs),
                                "median_diff": diff, "base_iqr": iqr,
-                               "gain_shown": shown}
+                               "gain_shown": shown,
+                               "within_bound": sign * diff <= allowed,
+                               "unresolved": iqr > allowed and not apart}
         summary[wl] = {**rows, "excluded_runs": len(wl_runs) - len(kept)}
     return summary
 
